@@ -222,6 +222,27 @@ func BenchmarkAskWarmCache(b *testing.B) {
 	}
 }
 
+// BenchmarkAskWarmDefault is BenchmarkAskWarmCache with default
+// options, the way servers run: curation stays on, and the warm-up
+// wraps the 512+64 observation window first, so every timed ask pushes
+// into a full window and retires the oldest observations every 64
+// asks. The target is within 2x of BenchmarkAskWarmCache.
+func BenchmarkAskWarmDefault(b *testing.B) {
+	sys := benchSystem(b, false)
+	for i := 0; i < 600; i++ {
+		if _, err := sys.Ask(ctx, benchQueries[1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Ask(ctx, benchQueries[1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAskColdCache measures the cache-miss path: caches enabled
 // (so fingerprinting and write-back are paid) but flushed before every
 // iteration. The flush runs inside the timed region on purpose —

@@ -9,6 +9,7 @@ package registrycurator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -53,16 +54,8 @@ type Agent struct {
 // New returns a curator with default validation thresholds.
 func New() *Agent { return &Agent{MinSupport: 2, MinQuality: 0.8, MaxChain: 4} }
 
-// chainOccurrence is one liftable window inside one workflow.
-type chainOccurrence struct {
-	steps   []workflow.Step
-	quality float64
-}
-
-// Curate mines the history and registers validated composites into
-// reg. It returns the promotions performed. Already-promoted patterns
-// (by composite name) are skipped, so curation is idempotent.
-func (a *Agent) Curate(history []Observation, reg *registry.Registry) ([]Promotion, error) {
+// normalize applies the default thresholds to unset or invalid fields.
+func (a *Agent) normalize() {
 	if a.MinSupport < 2 {
 		a.MinSupport = 2
 	}
@@ -72,71 +65,53 @@ func (a *Agent) Curate(history []Observation, reg *registry.Registry) ([]Promoti
 	if a.MaxChain < 2 {
 		a.MaxChain = 4
 	}
+}
 
-	// Gather liftable chains across successful observations.
-	occurrences := map[string][]chainOccurrence{} // pattern key → occurrences
-	perWorkflow := map[string]map[string]bool{}   // pattern key → workflow fingerprints
+// Curate mines the history and registers validated composites into
+// reg. It returns the promotions performed. Already-promoted patterns
+// (by composite name) are skipped, so curation is idempotent. Curate
+// is the batch form of a Window: it pushes the whole history into a
+// fresh window and runs one promotion pass over it.
+func (a *Agent) Curate(history []Observation, reg *registry.Registry) ([]Promotion, error) {
+	w := a.NewWindow()
 	for _, obs := range history {
-		if !obs.Succeeded() {
-			continue
-		}
-		q := obs.Result.QualityScore()
-		wfID := fingerprint(obs.Workflow)
-		for _, chain := range a.liftableChains(obs.Workflow) {
-			key := chainKey(chain)
-			occurrences[key] = append(occurrences[key], chainOccurrence{steps: chain, quality: q})
-			if perWorkflow[key] == nil {
-				perWorkflow[key] = map[string]bool{}
-			}
-			perWorkflow[key][wfID] = true
-		}
+		w.Push(obs)
 	}
+	var p Pass
+	w.snapshot(&p)
+	return a.promote(p.cands, reg)
+}
 
-	// Validate and promote. Patterns that end at a sub-problem artifact
-	// (the step's Phase names a real sub-problem, not auto-chained glue)
-	// are semantically complete capabilities and win first; then longer
-	// patterns beat shorter ones.
-	keys := make([]string, 0, len(occurrences))
-	for k := range occurrences {
-		keys = append(keys, k)
-	}
-	meaningful := func(k string) bool {
-		steps := occurrences[k][0].steps
-		phase := steps[len(steps)-1].Phase
-		return phase != "" && phase != "auto"
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		mi, mj := meaningful(keys[i]), meaningful(keys[j])
-		if mi != mj {
-			return mi
+// Promote runs the promotion pass over a snapshot taken by
+// Window.Pending, registering validated composites into reg.
+func (a *Agent) Promote(p *Pass, reg *registry.Registry) ([]Promotion, error) {
+	return a.promote(p.cands, reg)
+}
+
+// promote validates and promotes candidates. Patterns that end at a
+// sub-problem artifact (the step's Phase names a real sub-problem, not
+// auto-chained glue) are semantically complete capabilities and win
+// first; then longer patterns beat shorter ones.
+func (a *Agent) promote(cands []candidate, reg *registry.Registry) ([]Promotion, error) {
+	slices.SortFunc(cands, func(x, y candidate) int {
+		if x.meaningful != y.meaningful {
+			if x.meaningful {
+				return -1
+			}
+			return 1
 		}
-		li, lj := len(strings.Split(keys[i], "|")), len(strings.Split(keys[j], "|"))
-		if li != lj {
-			return li > lj
+		if x.links != y.links {
+			return y.links - x.links
 		}
-		return keys[i] < keys[j]
+		return strings.Compare(x.key, y.key)
 	})
 
 	var promotions []Promotion
 	covered := map[string]bool{} // capability names already inside a promoted pattern
-	for _, key := range keys {
-		occ := occurrences[key]
-		support := len(perWorkflow[key])
-		if support < a.MinSupport {
-			continue
-		}
-		var q float64
-		for _, o := range occ {
-			q += o.quality
-		}
-		q /= float64(len(occ))
-		if q < a.MinQuality {
-			continue
-		}
-		chain := occ[0].steps
+	for _, c := range cands {
 		// Skip patterns overlapping an already-promoted, longer one.
 		overlap := false
-		for _, s := range chain {
+		for _, s := range c.chain {
 			if covered[s.Capability] {
 				overlap = true
 				break
@@ -145,30 +120,30 @@ func (a *Agent) Curate(history []Observation, reg *registry.Registry) ([]Promoti
 		if overlap {
 			continue
 		}
-		cap, err := a.composite(chain, reg)
-		if err != nil {
+		if liftableOver(c.chain, reg) != nil {
 			continue // not liftable after all (e.g. capability vanished)
 		}
-		if reg.Has(cap.Name) {
-			// Promoted in an earlier curation pass: keep its chain
-			// covered so sub-patterns don't sneak in behind it.
-			for _, s := range chain {
-				covered[s.Capability] = true
+		// A pattern promoted in an earlier pass keeps its chain covered
+		// so sub-patterns don't sneak in behind it; only a new one pays
+		// for building its composite.
+		if !reg.Has(c.name) {
+			capb, err := a.composite(c.chain, reg)
+			if err != nil {
+				continue
 			}
-			continue
+			if err := reg.Register(capb); err != nil {
+				return promotions, fmt.Errorf("registrycurator: promote %q: %w", capb.Name, err)
+			}
+			promotions = append(promotions, Promotion{
+				Capability: capb,
+				Pattern:    capNames(c.chain),
+				Support:    c.support,
+				AvgQuality: c.quality,
+			})
 		}
-		if err := reg.Register(cap); err != nil {
-			return promotions, fmt.Errorf("registrycurator: promote %q: %w", cap.Name, err)
-		}
-		for _, s := range chain {
+		for _, s := range c.chain {
 			covered[s.Capability] = true
 		}
-		promotions = append(promotions, Promotion{
-			Capability: cap,
-			Pattern:    capNames(chain),
-			Support:    support,
-			AvgQuality: q,
-		})
 	}
 	return promotions, nil
 }
@@ -176,11 +151,11 @@ func (a *Agent) Curate(history []Observation, reg *registry.Registry) ([]Promoti
 // liftableChains enumerates contiguous step windows (length 2..MaxChain)
 // whose internal dataflow is self-contained: every input of steps after
 // the first is either a literal or a reference into the window.
-func (a *Agent) liftableChains(wf *workflow.Workflow) [][]workflow.Step {
+func liftableChains(wf *workflow.Workflow, maxChain int) [][]workflow.Step {
 	var out [][]workflow.Step
 	n := len(wf.Steps)
 	for start := 0; start < n; start++ {
-		for ln := 2; ln <= a.MaxChain && start+ln <= n; ln++ {
+		for ln := 2; ln <= maxChain && start+ln <= n; ln++ {
 			win := wf.Steps[start : start+ln]
 			if chainIsLiftable(win) {
 				out = append(out, win)
@@ -243,12 +218,39 @@ func fingerprint(wf *workflow.Workflow) string {
 	return wf.Name + ":" + wf.Query + ":" + strings.Join(wf.CapabilityNames(), "|")
 }
 
+// liftableOver reports why chain cannot be lifted into a composite
+// over reg: a capability it names is missing, or the head step binds
+// an input its capability does not declare. It is every way composite
+// can fail, checked without building anything, so a promotion pass can
+// skip already-promoted patterns cheaply.
+func liftableOver(chain []workflow.Step, reg *registry.Registry) error {
+	head := chain[0]
+	headCap, err := reg.Get(head.Capability)
+	if err != nil {
+		return err
+	}
+	for name := range head.Inputs {
+		if _, ok := headCap.InputPort(name); !ok {
+			return fmt.Errorf("head port %q missing", name)
+		}
+	}
+	for _, s := range chain[1:] {
+		if _, err := reg.Get(s.Capability); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // composite lifts a step chain into a single registered capability. The
 // composite's inputs are the head step's external bindings (reference
 // bindings become required inputs; literals are frozen as defaults that
 // callers may override); its outputs are the tail step's outputs. The
 // implementation replays the chain through a private engine.
 func (a *Agent) composite(chain []workflow.Step, reg *registry.Registry) (registry.Capability, error) {
+	if err := liftableOver(chain, reg); err != nil {
+		return registry.Capability{}, err
+	}
 	head := chain[0]
 	tail := chain[len(chain)-1]
 	headCap, err := reg.Get(head.Capability)
@@ -263,10 +265,7 @@ func (a *Agent) composite(chain []workflow.Step, reg *registry.Registry) (regist
 	var inputs []registry.Port
 	frozen := map[string]any{}
 	for name, b := range head.Inputs {
-		port, ok := headCap.InputPort(name)
-		if !ok {
-			return registry.Capability{}, fmt.Errorf("head port %q missing", name)
-		}
+		port, _ := headCap.InputPort(name)
 		if b.IsRef() {
 			inputs = append(inputs, port)
 		} else {

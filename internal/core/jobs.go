@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -412,14 +413,16 @@ func (s *System) ensureSchedulerLocked() {
 // pruneJobsLocked drops the oldest finished jobs beyond the retention
 // bound and releases their contexts. In-flight jobs always survive:
 // their combined count is bounded by queue depth + workers, which is
-// far below maxRetainedJobs under the defaults.
+// far below maxRetainedJobs under the defaults. The table is compacted
+// in place, so a full table prunes and refills without reallocating.
 func (s *System) pruneJobsLocked() {
-	excess := len(s.jobs.jobs) - maxRetainedJobs
+	jobs := s.jobs.jobs
+	excess := len(jobs) - maxRetainedJobs
 	if excess <= 0 {
 		return
 	}
-	kept := make([]*Job, 0, len(s.jobs.jobs)-excess)
-	for _, j := range s.jobs.jobs {
+	kept := jobs[:0]
+	for _, j := range jobs {
 		if excess > 0 && j.State().terminal() {
 			j.cancel()
 			excess--
@@ -427,7 +430,31 @@ func (s *System) pruneJobsLocked() {
 		}
 		kept = append(kept, j)
 	}
+	clear(jobs[len(kept):])
 	s.jobs.jobs = kept
+}
+
+// Release drops a finished job from the job table ahead of the
+// retention bound and releases its context, so Jobs no longer lists
+// it. A caller that consumed the job's outcome itself — a synchronous
+// ask waiting on its own job — releases it so answered jobs do not
+// keep their event logs and reports alive until pruned. Queued and
+// running jobs, and jobs no longer tracked, are left alone.
+func (s *System) Release(j *Job) {
+	if !j.State().terminal() {
+		return
+	}
+	s.jobs.mu.Lock()
+	defer s.jobs.mu.Unlock()
+	// Searched from the newest end: a releasing caller has usually just
+	// waited on the job.
+	for i := len(s.jobs.jobs) - 1; i >= 0; i-- {
+		if s.jobs.jobs[i] == j {
+			s.jobs.jobs = slices.Delete(s.jobs.jobs, i, i+1)
+			j.cancel()
+			return
+		}
+	}
 }
 
 // serveJob runs one dequeued job through the shared event-emitting

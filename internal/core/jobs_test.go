@@ -317,3 +317,100 @@ func TestSubmitParentContextCancelsJob(t *testing.T) {
 		t.Errorf("state = %s, want %s", j.State(), JobCancelled)
 	}
 }
+
+// TestPruneJobsInPlace pins the retention policy of a full job table:
+// the oldest terminal jobs go (their contexts released), in-flight
+// jobs stay whatever their age, the survivors keep submission order,
+// and the table is compacted in place rather than reallocated.
+func TestPruneJobsInPlace(t *testing.T) {
+	const extra = 10
+	s := &System{}
+	var all []*Job
+	cancelled := map[uint64]bool{}
+	for i := 0; i < maxRetainedJobs+extra; i++ {
+		id := uint64(i + 1)
+		st := JobDone
+		switch {
+		case i%7 == 0:
+			st = JobRunning
+		case i%7 == 3:
+			st = JobQueued
+		case i%7 == 5:
+			st = JobCancelled
+		}
+		all = append(all, &Job{id: id, state: st, cancel: func() { cancelled[id] = true }})
+	}
+	s.jobs.jobs = make([]*Job, len(all), len(all)+1)
+	copy(s.jobs.jobs, all)
+	backing := &s.jobs.jobs[0]
+
+	s.jobs.mu.Lock()
+	s.pruneJobsLocked()
+	s.jobs.mu.Unlock()
+
+	var want []*Job
+	dropped := 0
+	for _, j := range all {
+		if dropped < extra && j.state.terminal() {
+			dropped++
+			if !cancelled[j.id] {
+				t.Errorf("pruned job %d kept its context", j.id)
+			}
+			continue
+		}
+		if cancelled[j.id] {
+			t.Errorf("retained job %d was cancelled", j.id)
+		}
+		want = append(want, j)
+	}
+	got := s.jobs.jobs
+	if len(got) != maxRetainedJobs || len(got) != len(want) {
+		t.Fatalf("retained %d jobs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("position %d holds job %d, want %d", i, got[i].id, want[i].id)
+		}
+	}
+	if &got[0] != backing {
+		t.Error("pruning reallocated the job table")
+	}
+	for i, j := range got[len(got):cap(got)] {
+		if j != nil {
+			t.Errorf("tail slot %d still references job %d", i, j.id)
+		}
+	}
+}
+
+// TestReleaseDropsFinishedJob pins Release: a finished job leaves the
+// table and its context is released, while a job still running stays
+// tracked.
+func TestReleaseDropsFinishedJob(t *testing.T) {
+	gate := make(chan struct{})
+	sys, err := NewSystem(testEnv(t, false), gatedRegistry(t, gate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	held, err := sys.Submit(ctx, queryCS1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitState(t, held, JobRunning)
+	sys.Release(held)
+	if got := sys.Jobs(); len(got) != 1 || got[0] != held {
+		t.Fatalf("Release dropped a running job: %d tracked", len(got))
+	}
+	close(gate)
+	if _, err := held.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sys.Release(held)
+	if got := sys.Jobs(); len(got) != 0 {
+		t.Fatalf("released job still tracked: %d jobs", len(got))
+	}
+	if held.ctx.Err() == nil {
+		t.Error("released job kept its context")
+	}
+	sys.Release(held) // releasing an untracked job is a no-op
+}

@@ -140,14 +140,15 @@ type System struct {
 	weaver    *solutionweaver.Agent
 	curator   *registrycurator.Agent
 
-	mu         sync.Mutex // guards history and promotions
+	mu         sync.Mutex // guards history, window and promotions
 	history    []registrycurator.Observation
 	promotions []registrycurator.Promotion
+	// window mines history incrementally as observations enter and
+	// leave it, so curation costs O(new observation) per ask.
+	window *registrycurator.Window
 
-	curateMu sync.Mutex // serializes curation passes
-	// curatedThrough is the history length the last curation pass saw
-	// (guarded by mu); a pass with nothing new is skipped.
-	curatedThrough int
+	curateMu sync.Mutex           // serializes curation passes
+	pass     registrycurator.Pass // guarded by curateMu
 
 	// jobs is the async serving subsystem (see jobs.go); its worker
 	// pool starts lazily on the first Submit.
@@ -197,12 +198,13 @@ type engineSlot struct {
 
 // maxHistory bounds the observation window curation mines. Patterns
 // need support 2 to promote, so recurring shapes are caught long
-// before the window slides; the bound keeps per-call curation cost
+// before the window slides; the bound keeps the window's footprint
 // flat in long-lived serving processes.
 const maxHistory = 512
 
 // historySlack delays trimming until the window overshoots by this
-// much, so the O(maxHistory) copy is amortized across many calls
+// much, so the O(maxHistory) compaction and the window's Drop (which
+// re-sums each retired pattern) are amortized across many calls
 // instead of paid on every Ask of a saturated server — this keeps the
 // warm (fully cached) serving path cheap.
 const historySlack = 64
@@ -217,12 +219,14 @@ func NewSystem(env *Environment, reg *registry.Registry) (*System, error) {
 		reg = BuiltinRegistry()
 	}
 	env.ensureFingerprint()
+	curator := registrycurator.New()
 	return &System{
 		env: env, reg: reg,
 		queryMind: querymind.New(),
 		scout:     workflowscout.New(),
 		weaver:    solutionweaver.New(),
-		curator:   registrycurator.New(),
+		curator:   curator,
+		window:    curator.NewWindow(),
 		planCache: newLRUCache(DefaultPlanCacheEntries, 0),
 		stepCache: newLRUCache(DefaultStepCacheEntries, DefaultStepCacheBytes),
 	}, nil
@@ -483,17 +487,16 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 		result, err = engine.Run(exCtx, solution.Workflow)
 	}
 	rep.Result = result
+	obs := registrycurator.Observation{Workflow: solution.Workflow, Result: result, Err: err}
 	s.mu.Lock()
-	s.history = append(s.history, registrycurator.Observation{
-		Workflow: solution.Workflow, Result: result, Err: err,
-	})
+	s.history = append(s.history, obs)
+	s.window.Push(obs)
 	if len(s.history) > maxHistory+historySlack {
 		trimmed := len(s.history) - maxHistory
-		s.history = append([]registrycurator.Observation(nil), s.history[trimmed:]...)
-		s.curatedThrough -= trimmed
-		if s.curatedThrough < 0 {
-			s.curatedThrough = 0
-		}
+		n := copy(s.history, s.history[trimmed:])
+		clear(s.history[n:])
+		s.history = s.history[:n]
+		s.window.Drop(trimmed)
 	}
 	s.mu.Unlock()
 	if bridge != nil && bridge.veto != nil {
@@ -846,29 +849,28 @@ func (s *System) AskBatch(ctx context.Context, queries []string, opts ...AskOpti
 	return reports, errors.Join(errs...)
 }
 
-// curate snapshots the observation history and runs one serialized
-// curation pass, recording any promotions. A pass that would see no
-// observations beyond the previous one is skipped, so back-to-back
-// callers don't re-mine an unchanged history.
+// curate runs one serialized curation pass, recording any
+// promotions. The window says whether a pass is due; most asks leave
+// every promotion input unchanged and return here without a pass. The
+// candidates are snapshotted under mu and promoted outside it, so
+// concurrent asks keep recording observations meanwhile. A failed pass
+// is not recorded as done, so the next call retries it.
 func (s *System) curate() ([]registrycurator.Promotion, error) {
 	s.curateMu.Lock()
 	defer s.curateMu.Unlock()
+	gen := s.reg.Generation()
 	s.mu.Lock()
-	seen := s.curatedThrough
-	hist := make([]registrycurator.Observation, len(s.history))
-	copy(hist, s.history)
+	due := s.window.Pending(gen, &s.pass)
 	s.mu.Unlock()
-	if len(hist) <= seen {
+	if !due {
 		return nil, nil
 	}
-	promos, err := s.curator.Curate(hist, s.reg)
+	promos, err := s.curator.Promote(&s.pass, s.reg)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	if len(hist) > s.curatedThrough {
-		s.curatedThrough = len(hist)
-	}
+	s.window.Done(&s.pass)
 	s.promotions = append(s.promotions, promos...)
 	s.mu.Unlock()
 	return promos, nil

@@ -193,6 +193,10 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		// nobody is left to read a response.
 		return
 	}
+	// The response carries the whole outcome and no job id, so the
+	// answered job leaves the table now instead of holding its event
+	// log and report until pruned; it was listed while it ran.
+	t.sys.Release(j)
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{
 			Error:  err.Error(),

@@ -177,7 +177,7 @@ func awaitJobState(t testing.TB, tn *Tenant, id uint64, want core.JobState) {
 }
 
 func TestHealthzAndAskRoundtrip(t *testing.T) {
-	_, ts := startServer(t, Config{Env: testEnv(t)})
+	srv, ts := startServer(t, Config{Env: testEnv(t)})
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -196,6 +196,10 @@ func TestHealthzAndAskRoundtrip(t *testing.T) {
 	decodeBody(t, resp, &rep)
 	if rep.Query != queryCS1 {
 		t.Errorf("query echo = %q", rep.Query)
+	}
+	// An answered synchronous ask is released from the job table.
+	if n := len(srv.Tenant("default").System().Jobs()); n != 0 {
+		t.Errorf("job table holds %d jobs after a sync ask, want 0", n)
 	}
 	if len(rep.Steps) == 0 || rep.QualityScore == nil || *rep.QualityScore <= 0 {
 		t.Errorf("summary incomplete: %d steps, quality %v", len(rep.Steps), rep.QualityScore)

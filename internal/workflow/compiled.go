@@ -329,11 +329,13 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 		runScratchPool.Put(sc)
 	}()
 
+	// Provenance has one slot per step, filled by index and compacted
+	// after the loop: the same workflow order Run reports in.
 	res := &Result{
 		Values:     make(map[string]any, cp.nValues),
 		Outputs:    make(map[string]any, len(w.Outputs)),
 		Steps:      make([]StepStat, 0, n),
-		Provenance: make([]string, 0, n+len(w.Checks)),
+		Provenance: make([]string, n, n+len(w.Checks)),
 	}
 
 	var fps []string
@@ -355,8 +357,7 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 		s := cs.step
 		res.Steps = append(res.Steps, d.stat)
 		if d.stat.Err != nil {
-			res.Provenance = append(res.Provenance,
-				fmt.Sprintf("step %s (%s): FAILED: %v", s.ID, s.Capability, d.stat.Err))
+			res.Provenance[d.idx] = fmt.Sprintf("step %s (%s): FAILED: %v", s.ID, s.Capability, d.stat.Err)
 			if firstErr == nil {
 				firstErr = &StepError{Step: s.ID, Capability: s.Capability, Err: d.stat.Err}
 			}
@@ -382,13 +383,12 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 			return
 		}
 		if d.stat.Cached {
-			res.Provenance = append(res.Provenance, cs.cachedProv)
+			res.Provenance[d.idx] = cs.cachedProv
 		} else {
 			if e.cache != nil && fps != nil && fps[d.idx] != "" {
 				e.cache.Put(fps[d.idx], d.out)
 			}
-			res.Provenance = append(res.Provenance,
-				fmt.Sprintf("step %s (%s): ok in %v", s.ID, s.Capability, d.stat.Duration.Round(time.Microsecond)))
+			res.Provenance[d.idx] = fmt.Sprintf("step %s (%s): ok in %v", s.ID, s.Capability, d.stat.Duration.Round(time.Microsecond))
 		}
 		e.stepFinished(d.stat)
 		for _, j := range cp.dependents[d.idx] {
@@ -493,6 +493,7 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 	// slices.SortFunc rather than sort.Slice: same deterministic order
 	// (indexes are unique), no reflect.Swapper allocation per run.
 	slices.SortFunc(res.Steps, func(a, b StepStat) int { return cp.index[a.ID] - cp.index[b.ID] })
+	res.Provenance = slices.DeleteFunc(res.Provenance, func(line string) bool { return line == "" })
 
 	if firstErr != nil {
 		return res, firstErr

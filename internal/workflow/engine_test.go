@@ -367,3 +367,51 @@ func TestDottedStepIDRejected(t *testing.T) {
 		t.Errorf("dotted step id accepted: %v", err)
 	}
 }
+
+// TestProvenanceInWorkflowOrder pins report determinism: when
+// independent steps complete out of listed order, both engines still
+// list their provenance in workflow order, as Steps is, while
+// observers see the real completion order.
+func TestProvenanceInWorkflowOrder(t *testing.T) {
+	r := registry.New()
+	source := func(d time.Duration) registry.Func {
+		return func(c *registry.Call) error {
+			time.Sleep(d)
+			c.Out["n"] = 1
+			return nil
+		}
+	}
+	for name, d := range map[string]time.Duration{"order.slow": 30 * time.Millisecond, "order.fast": 0} {
+		r.MustRegister(registry.Capability{
+			Name: name, Framework: "order", Description: name,
+			Outputs: []registry.Port{{Name: "n", Type: registry.TInt}},
+			Impl:    source(d),
+		})
+	}
+	w := &Workflow{Name: "order", Steps: []Step{
+		{ID: "l", Capability: "order.slow"},
+		{ID: "r", Capability: "order.fast"},
+	}}
+	cp, err := Compile(w, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := map[string]func(*Engine) (*Result, error){
+		"interpreted": func(e *Engine) (*Result, error) { return e.Run(context.Background(), w) },
+		"compiled":    func(e *Engine) (*Result, error) { return e.RunCompiled(context.Background(), cp) },
+	}
+	for name, fn := range run {
+		obs := &recordingObserver{}
+		res, err := fn(NewEngine(r, nil, WithParallelism(2), WithObserver(obs)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(obs.finished) != 2 || obs.finished[0].ID != "r" {
+			t.Fatalf("%s: fast step did not finish first: %+v", name, obs.finished)
+		}
+		if len(res.Provenance) != 2 || !strings.HasPrefix(res.Provenance[0], "step l ") ||
+			!strings.HasPrefix(res.Provenance[1], "step r ") {
+			t.Errorf("%s: provenance not in workflow order: %q", name, res.Provenance)
+		}
+	}
+}

@@ -283,7 +283,9 @@ type Result struct {
 	Steps []StepStat `json:"steps,omitempty"`
 	// Checks records quality-check outcomes in order.
 	Checks []CheckResult `json:"checks,omitempty"`
-	// Provenance is a human-readable execution trace.
+	// Provenance is a human-readable execution trace: one line per
+	// settled step in workflow order (like Steps, whatever order the
+	// steps completed in), then one per quality check.
 	Provenance []string `json:"provenance,omitempty"`
 }
 
@@ -584,8 +586,12 @@ func (e *Engine) Run(ctx context.Context, w *Workflow) (*Result, error) {
 	}
 
 	// Scheduler loop: the only goroutine that touches res; workers get
-	// a prebuilt input map and report on the done channel.
+	// a prebuilt input map and report on the done channel. Provenance
+	// lines are held by step index and emitted in workflow order, like
+	// Steps, so a report does not depend on completion order (which
+	// observers still see through StepFinished).
 	done := make(chan stepDone)
+	prov := make([]string, n)
 	running := 0
 	var firstErr error
 
@@ -596,8 +602,7 @@ func (e *Engine) Run(ctx context.Context, w *Workflow) (*Result, error) {
 		s := w.Steps[d.idx]
 		res.Steps = append(res.Steps, d.stat)
 		if d.stat.Err != nil {
-			res.Provenance = append(res.Provenance,
-				fmt.Sprintf("step %s (%s): FAILED: %v", s.ID, s.Capability, d.stat.Err))
+			prov[d.idx] = fmt.Sprintf("step %s (%s): FAILED: %v", s.ID, s.Capability, d.stat.Err)
 			if firstErr == nil {
 				firstErr = &StepError{Step: s.ID, Capability: s.Capability, Err: d.stat.Err}
 			}
@@ -624,14 +629,12 @@ func (e *Engine) Run(ctx context.Context, w *Workflow) (*Result, error) {
 			return
 		}
 		if d.stat.Cached {
-			res.Provenance = append(res.Provenance,
-				fmt.Sprintf("step %s (%s): ok (cached)", s.ID, s.Capability))
+			prov[d.idx] = fmt.Sprintf("step %s (%s): ok (cached)", s.ID, s.Capability)
 		} else {
 			if e.cache != nil && fps[d.idx] != "" {
 				e.cache.Put(fps[d.idx], d.out)
 			}
-			res.Provenance = append(res.Provenance,
-				fmt.Sprintf("step %s (%s): ok in %v", s.ID, s.Capability, d.stat.Duration.Round(time.Microsecond)))
+			prov[d.idx] = fmt.Sprintf("step %s (%s): ok in %v", s.ID, s.Capability, d.stat.Duration.Round(time.Microsecond))
 		}
 		e.stepFinished(d.stat)
 		for _, j := range dependents[d.idx] {
@@ -737,6 +740,11 @@ func (e *Engine) Run(ctx context.Context, w *Workflow) (*Result, error) {
 	// Stable reporting: stats in workflow step order regardless of
 	// completion order.
 	sort.Slice(res.Steps, func(i, j int) bool { return index[res.Steps[i].ID] < index[res.Steps[j].ID] })
+	for _, line := range prov {
+		if line != "" {
+			res.Provenance = append(res.Provenance, line)
+		}
+	}
 
 	if firstErr != nil {
 		return res, firstErr
