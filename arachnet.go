@@ -41,14 +41,13 @@
 // with System.CacheStats, tune or disable with System.SetCacheLimits,
 // and bypass per call with AskNoCache.
 //
-// The warm path is additionally compiled: when a plan first lands in
-// the cache it is lowered to a pre-resolved execution artifact
-// (capability pointers, dependency schedule, fingerprint templates —
-// see internal/workflow.CompiledPlan), so repeat servings skip every
-// per-run lookup and re-canonicalization the interpreted engine
-// performs, byte-identically. Compilation shares the plan cache's
-// invalidation exactly; System.SetCompiledPlans(false) forces the
-// interpreted path (A/B benchmarks). Warm state also survives
+// Every run executes a compiled plan: a workflow lowered to a
+// pre-resolved execution artifact (capability pointers, dependency
+// schedule, fingerprint templates — see internal/workflow.CompiledPlan).
+// When a plan first lands in the cache it is compiled once, so repeat
+// servings skip every per-run lookup and re-canonicalization;
+// AskNoCache calls compile a one-shot plan. Compilation shares the plan
+// cache's invalidation exactly. Warm state also survives
 // restarts: System.SaveSnapshot writes both caches to a versioned,
 // fingerprint-validated document and System.LoadSnapshot restores it
 // into a freshly built equivalent System (see the -snapshot flag on

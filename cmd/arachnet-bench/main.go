@@ -66,7 +66,7 @@ func main() {
 		fleetN      = flag.Int("fleet", 0, "shard the world over N fleet workers for every experiment (0 = inline execution)")
 		fleetBench  = flag.Bool("fleetbench", false, "print only the fleet-scaling experiment (fleet 0/1/4 cold+warm latency and allocations, plus a ≥10x world)")
 		wireBench   = flag.Bool("wirebench", false, "print only the remote-fleet experiment (real HTTP workers on loopback vs the in-process fleet, cold+warm)")
-		compBench   = flag.Bool("compiledbench", false, "print only the compiled-plan experiment (interpreted vs compiled warm path per case, plus snapshot save/load and cold-vs-snapshot restart)")
+		compBench   = flag.Bool("compiledbench", false, "print only the compiled-plan experiment (compiled warm path per case, plus snapshot save/load and cold-vs-snapshot restart)")
 	)
 	flag.Parse()
 	fleetOpt := func(opts []arachnet.Option) []arachnet.Option {
@@ -636,18 +636,13 @@ func wireExperiment(seed uint64, world, jsonPath string) {
 	}
 }
 
-// compiledCaseResult compares one query's warm serving latency and
-// allocation count between the interpreted and compiled execution
-// paths (same system, same caches, A/B via SetCompiledPlans).
+// compiledCaseResult records one query's warm serving latency and
+// allocation count on the compiled path.
 type compiledCaseResult struct {
-	Case              int     `json:"case"`
-	Query             string  `json:"query"`
-	InterpretedWarmUs float64 `json:"interpreted_warm_us"` // median of the warm rounds
-	CompiledWarmUs    float64 `json:"compiled_warm_us"`    // median of the warm rounds
-	Speedup           float64 `json:"speedup"`
-	InterpretedAllocs uint64  `json:"interpreted_warm_allocs"` // median of the warm rounds
-	CompiledAllocs    uint64  `json:"compiled_warm_allocs"`    // median of the warm rounds
-	AllocRatio        float64 `json:"alloc_ratio"`             // interpreted / compiled
+	Case           int     `json:"case"`
+	Query          string  `json:"query"`
+	CompiledWarmUs float64 `json:"compiled_warm_us"`     // median of the warm rounds
+	CompiledAllocs uint64  `json:"compiled_warm_allocs"` // median of the warm rounds
 }
 
 // compiledSnapshotResult measures the persistence path: snapshot size
@@ -664,9 +659,10 @@ type compiledSnapshotResult struct {
 	RestartSpeedup    float64 `json:"restart_speedup"`
 }
 
-// compiledReport is the BENCH_10.json schema: the compiled-plan point
-// of the perf trajectory — zero-reparse warm serving plus persistent
-// cache snapshots (PR 10).
+// compiledReport is the -compiledbench schema: warm compiled serving
+// plus persistent cache snapshots. (The committed BENCH_10.json also
+// carries interpreted-engine fields, from before that engine was
+// removed.)
 type compiledReport struct {
 	Benchmark  string                 `json:"benchmark"`
 	PR         int                    `json:"pr"`
@@ -677,16 +673,13 @@ type compiledReport struct {
 	Snapshot   compiledSnapshotResult `json:"snapshot"`
 }
 
-// compiledExperiment measures what plan compilation buys on the warm
-// path: every case-study query served warm with compiled execution
-// disabled (the interpreted engine walks the workflow AST) and enabled
-// (the cached compiled artifact replays with pooled scratch), on the
-// same system with the same hot caches. It then exercises the
-// persistence tier: save the warm system's snapshot, boot two fresh
-// systems — one cold, one restored from the snapshot — and compare
-// their first-ask latencies.
+// compiledExperiment measures the warm path: every case-study query
+// served warm, the cached compiled plan replaying with pooled scratch
+// over hot step caches. It then exercises the persistence tier: save
+// the warm system's snapshot, boot two fresh systems — one cold, one
+// restored from the snapshot — and compare their first-ask latencies.
 func compiledExperiment(seed uint64, world, jsonPath string) {
-	header("Compiled plans (interpreted vs compiled warm path)")
+	header("Compiled plans (warm path)")
 	const warmRounds = 7
 	rep := compiledReport{
 		Benchmark: "compiled-plans-warm-path", PR: 10,
@@ -712,8 +705,8 @@ func compiledExperiment(seed uint64, world, jsonPath string) {
 	}
 	sort.Ints(keys)
 
-	// Warm latency+allocs for the current execution mode: median over
-	// the rounds, after two untimed warm-up asks.
+	// Warm latency+allocs: median over the rounds, after two untimed
+	// warm-up asks.
 	measureWarm := func(query string) (time.Duration, uint64) {
 		ask(sys, query)
 		ask(sys, query)
@@ -728,25 +721,14 @@ func compiledExperiment(seed uint64, world, jsonPath string) {
 	}
 
 	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-	fmt.Printf("%-6s %14s %14s %9s %12s %12s %8s\n",
-		"case", "interp warm", "compiled warm", "speedup", "interp alloc", "comp alloc", "ratio")
+	fmt.Printf("%-6s %14s %12s\n", "case", "compiled warm", "comp alloc")
 	for _, n := range keys {
 		ask(sys, queries[n]) // cold run: populate plan, compiled artifact, step cache
-		sys.SetCompiledPlans(false)
-		iWarm, iAllocs := measureWarm(queries[n])
-		sys.SetCompiledPlans(true)
-		cWarm, cAllocs := measureWarm(queries[n])
-		res := compiledCaseResult{
-			Case: n, Query: queries[n],
-			InterpretedWarmUs: us(iWarm), CompiledWarmUs: us(cWarm),
-			Speedup:           float64(iWarm) / float64(cWarm),
-			InterpretedAllocs: iAllocs, CompiledAllocs: cAllocs,
-			AllocRatio: float64(iAllocs) / float64(cAllocs),
-		}
-		rep.Cases = append(rep.Cases, res)
-		fmt.Printf("CS%-5d %14v %14v %8.1fx %12d %12d %7.1fx\n", n,
-			iWarm.Round(100*time.Nanosecond), cWarm.Round(100*time.Nanosecond),
-			res.Speedup, iAllocs, cAllocs, res.AllocRatio)
+		warm, allocs := measureWarm(queries[n])
+		rep.Cases = append(rep.Cases, compiledCaseResult{
+			Case: n, Query: queries[n], CompiledWarmUs: us(warm), CompiledAllocs: allocs,
+		})
+		fmt.Printf("CS%-5d %14v %12d\n", n, warm.Round(100*time.Nanosecond), allocs)
 	}
 
 	// Persistence: snapshot the warm system, then race a cold boot

@@ -176,55 +176,53 @@ const subscriberGrace = 5 * time.Second
 // state, a subscriber that stops reading forfeits remaining events
 // after a grace period and the channel closes.
 func (j *Job) Events() <-chan Event {
-	ch := make(chan Event, streamBuffer)
+	return replayLog(&j.mu, j.cond, &j.events, func() bool { return j.state.terminal() }, j.ctx.Done())
+}
+
+// replayLog streams an append-only event log to a fresh channel: every
+// event from the first, then each new one as it is appended, closing
+// once terminal reports true and the log is drained. mu guards *log
+// and terminal's state; cond (on mu) must be broadcast on every append
+// and on the terminal transition. Delivery prefers the consumer: a
+// ready receiver or buffer space always wins. Until live closes a send
+// blocks (the log decouples the producer, so a slow consumer never
+// stalls it); after that, a bounded grace period separates slow
+// consumers from abandoned ones.
+func replayLog[E any](mu *sync.Mutex, cond *sync.Cond, log *[]E, terminal func() bool, live <-chan struct{}) <-chan E {
+	ch := make(chan E, streamBuffer)
 	go func() {
 		defer close(ch)
-		i := 0
-		for {
-			j.mu.Lock()
-			for i == len(j.events) && !j.state.terminal() {
-				j.cond.Wait()
+		for i := 0; ; i++ {
+			mu.Lock()
+			for i == len(*log) && !terminal() {
+				cond.Wait()
 			}
-			if i == len(j.events) {
-				j.mu.Unlock()
+			if i == len(*log) {
+				mu.Unlock()
 				return
 			}
-			ev := j.events[i]
-			i++
-			j.mu.Unlock()
-			if !j.deliver(ch, ev) {
+			ev := (*log)[i]
+			mu.Unlock()
+			select {
+			case ch <- ev:
+				continue
+			default:
+			}
+			select {
+			case ch <- ev:
+				continue
+			case <-live:
+			}
+			t := time.NewTimer(subscriberGrace)
+			select {
+			case ch <- ev:
+				t.Stop()
+			case <-t.C:
 				return
 			}
 		}
 	}()
 	return ch
-}
-
-// deliver sends one replayed event, preferring delivery over exit:
-// buffer space or a ready receiver always wins. While the job is live
-// its context keeps the send blocking (the event log decouples the
-// pipeline, so a slow subscriber never stalls the run); after the
-// context is released, a bounded grace period separates slow
-// subscribers from abandoned ones.
-func (j *Job) deliver(ch chan<- Event, ev Event) bool {
-	select {
-	case ch <- ev:
-		return true
-	default:
-	}
-	select {
-	case ch <- ev:
-		return true
-	case <-j.ctx.Done():
-	}
-	t := time.NewTimer(subscriberGrace)
-	defer t.Stop()
-	select {
-	case ch <- ev:
-		return true
-	case <-t.C:
-		return false
-	}
 }
 
 // record appends one pipeline event to the job's log (the emitter sink

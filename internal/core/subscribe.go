@@ -255,52 +255,7 @@ func (sub *Subscription) closeWith(reason string) {
 // that stops draining after the subscription closes forfeits remaining
 // events after a grace period.
 func (sub *Subscription) Events() <-chan SubEvent {
-	ch := make(chan SubEvent, streamBuffer)
-	go func() {
-		defer close(ch)
-		i := 0
-		for {
-			sub.mu.Lock()
-			for i == len(sub.events) && !sub.done {
-				sub.cond.Wait()
-			}
-			if i == len(sub.events) {
-				sub.mu.Unlock()
-				return
-			}
-			ev := sub.events[i]
-			i++
-			sub.mu.Unlock()
-			if !sub.deliver(ch, ev) {
-				return
-			}
-		}
-	}()
-	return ch
-}
-
-// deliver mirrors Job.deliver: prefer delivery, block while the
-// subscription is live (the event log decouples the watch loop), and
-// after close give slow subscribers a bounded grace period.
-func (sub *Subscription) deliver(ch chan<- SubEvent, ev SubEvent) bool {
-	select {
-	case ch <- ev:
-		return true
-	default:
-	}
-	select {
-	case ch <- ev:
-		return true
-	case <-sub.closed:
-	}
-	t := time.NewTimer(subscriberGrace)
-	defer t.Stop()
-	select {
-	case ch <- ev:
-		return true
-	case <-t.C:
-		return false
-	}
+	return replayLog(&sub.mu, sub.cond, &sub.events, func() bool { return sub.done }, sub.closed)
 }
 
 // record stamps and appends one event, waking stream subscribers.

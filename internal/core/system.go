@@ -172,28 +172,20 @@ type System struct {
 	fleetMu sync.RWMutex
 	fleet   *fleet.Fleet
 
-	// engineSlot caches the last observer-less engine built for the warm
-	// serving path: engines are stateless and safe for concurrent Runs,
-	// so every warm Ask with the same (env fingerprint, fleet,
-	// parallelism) shares one instead of re-assembling options and
-	// closures per call. Calls with observers build their own engine as
-	// before.
+	// engineSlot caches the last engine built for serving: engines are
+	// stateless and safe for concurrent runs (parallelism and the step
+	// observer are per-run arguments), so every Ask with the same (env
+	// fingerprint, fleet, cache on/off) shares one instead of
+	// re-assembling options and closures per call.
 	engineSlot atomic.Pointer[engineSlot]
-
-	// compiledOff disables compiled-plan execution when set (plans still
-	// compile and cache; runs fall back to the interpreted engine). The
-	// zero value — compiled execution on — is the default; the switch
-	// exists for A/B benchmarking and the byte-identity tests. See
-	// SetCompiledPlans.
-	compiledOff atomic.Bool
 }
 
 // engineSlot is one memoized engine and the key it was built under.
 type engineSlot struct {
-	envFP string
-	fleet *fleet.Fleet
-	par   int
-	eng   *workflow.Engine
+	envFP   string
+	fleet   *fleet.Fleet
+	noCache bool
+	eng     *workflow.Engine
 }
 
 // maxHistory bounds the observation window curation mines. Patterns
@@ -449,42 +441,21 @@ func (s *System) run(ctx context.Context, query string, cfg askConfig, em *emitt
 	}
 	exCtx, cancelEx := context.WithCancel(ctx)
 	defer cancelEx()
-	f := s.Fleet()
 	var bridge *stepBridge
-	var engine *workflow.Engine
-	switch {
-	case active:
+	var stepObs workflow.Observer
+	if active {
 		bridge = &stepBridge{em: em, cancel: cancelEx}
-		engineOpts := []workflow.EngineOption{
-			workflow.WithParallelism(cfg.parallelism), workflow.WithObserver(bridge),
-		}
-		if !cfg.noCache {
-			// Facet-scoped cache keys: steps reading only the immutable
-			// world facet keep their fingerprints across scenario
-			// injections, so a standing query's re-run executes only the
-			// scenario-dirty subgraph and replays the rest from cache.
-			engineOpts = append(engineOpts,
-				workflow.WithCache(stepCacheAdapter{s.stepCache}, s.env.Fingerprint()),
-				workflow.WithEnvKeyer(s.facetKeyer))
-		}
-		if f != nil {
-			engineOpts = append(engineOpts, workflow.WithDispatcher(f))
-		}
-		engine = workflow.NewEngine(s.reg, s.env, engineOpts...)
-	case cfg.noCache:
-		engineOpts := []workflow.EngineOption{workflow.WithParallelism(cfg.parallelism)}
-		if f != nil {
-			engineOpts = append(engineOpts, workflow.WithDispatcher(f))
-		}
-		engine = workflow.NewEngine(s.reg, s.env, engineOpts...)
-	default:
-		engine = s.engineFor(cfg.parallelism, f)
+		stepObs = bridge
+	}
+	if compiled == nil {
+		// No cached plan (AskNoCache, or a plan that failed to compile):
+		// lower a one-shot plan. A workflow that fails Compile fails
+		// Validate with the same error.
+		compiled, err = workflow.Compile(solution.Workflow, s.reg)
 	}
 	var result *workflow.Result
-	if compiled != nil && !s.compiledOff.Load() {
-		result, err = engine.RunCompiled(exCtx, compiled)
-	} else {
-		result, err = engine.Run(exCtx, solution.Workflow)
+	if err == nil {
+		result, err = s.engineFor(cfg.noCache).RunCompiled(exCtx, compiled, cfg.parallelism, stepObs)
 	}
 	rep.Result = result
 	obs := registrycurator.Observation{Workflow: solution.Workflow, Result: result, Err: err}
@@ -545,37 +516,33 @@ func (s *System) facetKeyer(capb *registry.Capability) string {
 	return s.env.FacetFingerprint(capb.Reads)
 }
 
-// engineFor returns the memoized observer-less engine for the given
-// parallelism and fleet, rebuilding it when the environment
-// fingerprint, fleet, or parallelism changed since the last warm call.
-// Engines are stateless, so concurrent runs may share the cached one;
-// a race here at worst builds one redundant engine.
-func (s *System) engineFor(par int, f *fleet.Fleet) *workflow.Engine {
+// engineFor returns the memoized engine for the current environment
+// fingerprint and fleet, with or without the step cache, rebuilding it
+// when any of the three changed since the last call. Engines are
+// stateless, so concurrent runs may share the cached one; a race here
+// at worst builds one redundant engine.
+func (s *System) engineFor(noCache bool) *workflow.Engine {
 	fp := s.env.Fingerprint()
-	if sl := s.engineSlot.Load(); sl != nil && sl.envFP == fp && sl.fleet == f && sl.par == par {
+	f := s.Fleet()
+	if sl := s.engineSlot.Load(); sl != nil && sl.envFP == fp && sl.fleet == f && sl.noCache == noCache {
 		return sl.eng
 	}
-	engineOpts := []workflow.EngineOption{
-		workflow.WithParallelism(par),
-		workflow.WithCache(stepCacheAdapter{s.stepCache}, fp),
-		workflow.WithEnvKeyer(s.facetKeyer),
+	var engineOpts []workflow.EngineOption
+	if !noCache {
+		// Facet-scoped cache keys: steps reading only the immutable
+		// world facet keep their fingerprints across scenario
+		// injections, so a standing query's re-run executes only the
+		// scenario-dirty subgraph and replays the rest from cache.
+		engineOpts = append(engineOpts,
+			workflow.WithCache(stepCacheAdapter{s.stepCache}, fp),
+			workflow.WithEnvKeyer(s.facetKeyer))
 	}
 	if f != nil {
 		engineOpts = append(engineOpts, workflow.WithDispatcher(f))
 	}
 	eng := workflow.NewEngine(s.reg, s.env, engineOpts...)
-	s.engineSlot.Store(&engineSlot{envFP: fp, fleet: f, par: par, eng: eng})
+	s.engineSlot.Store(&engineSlot{envFP: fp, fleet: f, noCache: noCache, eng: eng})
 	return eng
-}
-
-// SetCompiledPlans toggles compiled-plan execution (on by default).
-// When off, cached plans still compile and cache their artifacts, but
-// every run takes the interpreted engine path — the A/B seam the
-// byte-identity tests and arachnet-bench's -compiledbench use. Safe
-// to flip concurrently with serving; in-flight runs keep the path
-// they started on.
-func (s *System) SetCompiledPlans(enabled bool) {
-	s.compiledOff.Store(!enabled)
 }
 
 // planEntry is one memoized planning outcome: everything the three
@@ -590,8 +557,8 @@ type planEntry struct {
 	design   *workflowscout.Design
 	solution *solutionweaver.Solution
 	// compiled is the workflow lowered against the registry generation
-	// this entry is keyed by; nil when compilation failed and runs
-	// should take the interpreted path.
+	// this entry is keyed by; nil when compilation failed (each run
+	// then recompiles and reports the validation error).
 	compiled *workflow.CompiledPlan
 }
 
@@ -763,7 +730,7 @@ func (s *System) plan(ctx context.Context, query string, cfg askConfig, em *emit
 		// shares the plan's invalidation exactly (the key carries the
 		// registry generation and environment fingerprint it resolved
 		// against). A workflow that fails to compile caches with a nil
-		// artifact and keeps taking the interpreted path.
+		// artifact; run recompiles it and reports the error.
 		compiled, _ = workflow.Compile(solution.Workflow, s.reg)
 		pe := &planEntry{
 			query: query, spec: rep.Spec, problem: problem,

@@ -5,6 +5,8 @@
 // "done" frame. A client that disconnects mid-stream cancels the job
 // unless it subscribed with ?detach=1, mapping dropped consumers onto
 // job cancellation so abandoned work stops consuming workers.
+// streamSSE is the one SSE writer: subscription streams use it too,
+// with subscription close as the drop action.
 package serve
 
 import (
@@ -76,6 +78,9 @@ func encodeEvent(ev core.Event) eventJSON {
 	return out
 }
 
+// eventType names the SSE event a frame is sent as.
+func (e eventJSON) eventType() string { return e.Type }
+
 // handleJobEvents streams one job's event log as SSE.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tenant(w, r)
@@ -86,6 +91,19 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// A dropped stream is disinterest in the result: cancel the job
+	// (idempotent; a no-op on finished jobs).
+	streamSSE(w, r, j.Events, encodeEvent, j.Cancel)
+}
+
+// wireFrame is the wire form of one streamed event: a JSON-encodable
+// value that names its SSE event type.
+type wireFrame interface{ eventType() string }
+
+// streamSSE writes the SSE headers, then one frame per event from
+// events() until the channel closes. If the consumer disconnects
+// first, onDrop runs — unless the request asked for ?detach=1.
+func streamSSE[E any, F wireFrame](w http.ResponseWriter, r *http.Request, events func() <-chan E, encode func(E) F, onDrop func()) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
@@ -101,26 +119,23 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	events := j.Events()
+	ch := events()
 	for {
 		select {
-		case ev, open := <-events:
+		case ev, open := <-ch:
 			if !open {
 				return
 			}
-			frame := encodeEvent(ev)
+			frame := encode(ev)
 			data, err := json.Marshal(frame)
 			if err != nil {
-				data = []byte(fmt.Sprintf(`{"type":%q,"error":"unserializable event"}`, frame.Type))
+				data = []byte(fmt.Sprintf(`{"type":%q,"error":"unserializable event"}`, frame.eventType()))
 			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", frame.Type, data)
+			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", frame.eventType(), data)
 			flusher.Flush()
 		case <-r.Context().Done():
-			// The consumer is gone. Unless it explicitly detached,
-			// treat the dropped stream as disinterest in the result and
-			// cancel the job (idempotent; a no-op on finished jobs).
 			if !detach {
-				j.Cancel()
+				onDrop()
 			}
 			return
 		}

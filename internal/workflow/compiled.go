@@ -1,11 +1,9 @@
 package workflow
 
-// Plan compilation: the zero-reparse warm path. A cached plan used to
-// be replayed by handing its Workflow back to Engine.Run, which
-// re-validated the DAG, re-resolved every capability, re-derived the
-// dependency graph, and re-hashed every step fingerprint on every
-// warm Ask. Compile does all of that exactly once, when the plan
-// enters the cache, and RunCompiled walks the precomputed schedule:
+// Plan compilation and execution. Compile does every per-plan
+// derivation exactly once — when the plan enters a cache, or once per
+// Run for a one-shot plan — and RunCompiled walks the precomputed
+// schedule:
 //
 //   - capability pointers are resolved at compile time (the registry
 //     is immutable per generation, and plan caches key on the
@@ -26,14 +24,15 @@ package workflow
 //     allocates near-nothing. (Result, Values, Outputs and StepStats
 //     escape to the caller and are never pooled.)
 //
-// RunCompiled is observationally identical to Run — same scheduling
-// order, same provenance bytes, same cache keys, same error shapes —
-// which the byte-identity tests enforce.
+// Step caches (local and per-worker) and snapshot files key on the
+// fingerprint digests, so their preimage layout is pinned by golden
+// tests.
 
 import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -74,8 +73,8 @@ type compiledFPs struct {
 	fps   []string
 }
 
-// compiledStep is one step with everything Run re-derives per
-// execution resolved ahead of time.
+// compiledStep is one step with every per-execution lookup and
+// derivation resolved ahead of time.
 type compiledStep struct {
 	step         *Step
 	capb         *registry.Capability
@@ -111,9 +110,11 @@ type fpSeg struct {
 	upstream int
 }
 
-// fpField appends length-prefixed parts exactly as
-// Engine.fingerprints does — the two must stay byte-identical, since
-// step caches (local and per-worker) key on the resulting digests.
+// fpField appends length-prefixed parts to a fingerprint preimage.
+// Each part is length-prefixed so parts containing any byte sequence
+// (literals come from arbitrary user queries) can never forge a field
+// boundary and collide two distinct input sets. Step caches (local and
+// per-worker) key on the resulting digests: the layout must not change.
 func fpField(b []byte, parts ...string) []byte {
 	for _, p := range parts {
 		b = strconv.AppendInt(b, int64(len(p)), 10)
@@ -190,10 +191,12 @@ func Compile(w *Workflow, reg *registry.Registry) (*CompiledPlan, error) {
 			}
 		}
 
-		// Fingerprint template. The conditions for "not memoizable"
-		// mirror Engine.fingerprints exactly: impure capability,
-		// non-canonicalizable literal, or a non-memoizable upstream —
-		// all decidable at compile time.
+		// Fingerprint template. A step is not memoizable when its
+		// capability is impure, a literal has no canonical form, or an
+		// upstream is not memoizable — all decidable at compile time.
+		// The preimage hashes the capability, the env key, then each
+		// input in sorted name order: a literal's canonical encoding,
+		// or a ref's upstream digest and port.
 		if !capb.Pure {
 			continue
 		}
@@ -209,7 +212,7 @@ func Compile(w *Workflow, reg *registry.Registry) (*CompiledPlan, error) {
 					ok = false
 					break
 				}
-				// field(buf, "r", name, up, port) with up always a raw
+				// fpField("r", name, up, port) with up always a raw
 				// 32-byte sha256 digest, so its length prefix is the
 				// static "32:".
 				cur = fpField(cur, "r", name)
@@ -292,6 +295,14 @@ func (cp *CompiledPlan) fingerprintsFor(e *Engine) []string {
 	return fps
 }
 
+// stepDone is a completed step reported back to the scheduler.
+type stepDone struct {
+	idx  int
+	capb *registry.Capability
+	stat StepStat
+	out  map[string]any
+}
+
 // runScratch is the pooled per-run scheduler state: the working
 // indegree copy and the ready queue. Nothing in it escapes a run.
 type runScratch struct {
@@ -301,18 +312,23 @@ type runScratch struct {
 
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
-// RunCompiled executes a compiled plan. It is Run minus everything
-// Compile already did: no validation, no registry lookups, no graph
-// derivation, no preimage assembly — just the scheduler loop over the
-// precomputed schedule, with pooled scratch. Semantics (scheduling
-// order, provenance, cache keys, dispatch offers, error shapes) are
-// identical to Run(ctx, cp.Workflow()) and enforced by tests.
-func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, error) {
+// RunCompiled executes a compiled plan. Ready steps (all Ref
+// dependencies satisfied) execute concurrently, up to parallelism at
+// once (values below 1 mean GOMAXPROCS). obs, when non-nil, sees every
+// step start and finish. A step error stops new steps from launching,
+// waits for in-flight ones, and is returned as a *StepError;
+// cancellation of ctx aborts the run the same way with the context's
+// error. Quality checks never abort. Step stats and provenance are
+// reported in workflow order whatever order the steps completed in.
+func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, parallelism int, obs Observer) (*Result, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("workflow: nil compiled plan")
 	}
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if parallelism < 1 {
+		parallelism = runtime.GOMAXPROCS(0)
 	}
 	w := cp.w
 	n := len(cp.steps)
@@ -330,7 +346,7 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 	}()
 
 	// Provenance has one slot per step, filled by index and compacted
-	// after the loop: the same workflow order Run reports in.
+	// after the loop, so it lists steps in workflow order like Steps.
 	res := &Result{
 		Values:     make(map[string]any, cp.nValues),
 		Outputs:    make(map[string]any, len(w.Outputs)),
@@ -361,7 +377,7 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 			if firstErr == nil {
 				firstErr = &StepError{Step: s.ID, Capability: s.Capability, Err: d.stat.Err}
 			}
-			e.stepFinished(d.stat)
+			stepFinished(obs, d.stat)
 			return
 		}
 		var contractErr error
@@ -379,7 +395,7 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 			}
 			notify := d.stat
 			notify.Err = contractErr
-			e.stepFinished(notify)
+			stepFinished(obs, notify)
 			return
 		}
 		if d.stat.Cached {
@@ -390,7 +406,7 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 			}
 			res.Provenance[d.idx] = fmt.Sprintf("step %s (%s): ok in %v", s.ID, s.Capability, d.stat.Duration.Round(time.Microsecond))
 		}
-		e.stepFinished(d.stat)
+		stepFinished(obs, d.stat)
 		for _, j := range cp.dependents[d.idx] {
 			indegree[j]--
 			if indegree[j] == 0 {
@@ -403,8 +419,8 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 		cs := &cp.steps[i]
 		s := cs.step
 		capb := cs.capb
-		for _, o := range e.observers {
-			o.StepStarted(s.ID, s.Capability)
+		if obs != nil {
+			obs.StepStarted(s.ID, s.Capability)
 		}
 		if e.cache != nil && fps != nil && fps[i] != "" {
 			if out, ok := e.cache.Get(fps[i]); ok {
@@ -428,22 +444,16 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 		if done == nil {
 			done = make(chan stepDone)
 		}
-		if e.dispatcher != nil && cs.dispatchable {
-			fp := ""
-			if fps != nil {
-				fp = fps[i]
-			}
-			go func() {
-				start := time.Now()
-				out, handled, err := func() (out map[string]any, handled bool, err error) {
-					defer func() {
-						if r := recover(); r != nil {
-							handled, err = true, fmt.Errorf("dispatch panicked: %v", r)
-						}
-					}()
-					return e.dispatcher.DispatchStep(ctx, capb, in, e.env, fp)
-				}()
-				if handled {
+		fp := ""
+		if fps != nil {
+			fp = fps[i]
+		}
+		go func() {
+			start := time.Now()
+			// Dispatchable step: offer it to the fleet; a decline falls
+			// back to local execution in the same worker goroutine.
+			if e.dispatcher != nil && cs.dispatchable {
+				if out, handled, err := e.safeDispatch(ctx, capb, in, fp); handled {
 					done <- stepDone{
 						idx:  i,
 						capb: capb,
@@ -452,20 +462,8 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 					}
 					return
 				}
-				call := &registry.Call{In: in, Out: map[string]any{}, Env: e.env, Ctx: ctx}
-				err = e.safeCall(capb, call)
-				done <- stepDone{
-					idx:  i,
-					capb: capb,
-					stat: StepStat{ID: s.ID, Capability: s.Capability, Duration: time.Since(start), Err: err},
-					out:  call.Out,
-				}
-			}()
-			return
-		}
-		go func() {
+			}
 			call := &registry.Call{In: in, Out: map[string]any{}, Env: e.env, Ctx: ctx}
-			start := time.Now()
 			err := e.safeCall(capb, call)
 			done <- stepDone{
 				idx:  i,
@@ -477,7 +475,7 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 	}
 
 	for {
-		for firstErr == nil && ctx.Err() == nil && len(ready) > head && running < e.parallelism {
+		for firstErr == nil && ctx.Err() == nil && len(ready) > head && running < parallelism {
 			next := ready[head]
 			head++
 			launch(next)
@@ -511,8 +509,7 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan) (*Result, er
 		if !ok {
 			status = "FAIL"
 		}
-		// Plain concatenation (one allocation) in place of Sprintf's
-		// boxing; the bytes match Run's formatting exactly.
+		// Plain concatenation: one allocation, no Sprintf boxing.
 		res.Provenance = append(res.Provenance,
 			"check "+chk.Name+" ["+string(chk.Kind)+"]: "+status+" "+note)
 	}

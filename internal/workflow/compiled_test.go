@@ -1,17 +1,22 @@
 package workflow
 
-// Compiled-plan contract: RunCompiled is observationally identical to
-// Run — same outputs, values, step stats, provenance bytes and error
-// shapes — and its precompiled fingerprint templates resolve to the
-// exact digests Engine.fingerprints derives, so the two paths share
-// step caches in both directions. The alloc test pins the point of
-// the whole exercise: a fully cached compiled replay stays within a
-// small constant allocation budget.
+// Golden pins for the execution engine. Step fingerprints are the keys
+// of every step cache (local and per-worker) and of -snapshot files,
+// so their hex digests are pinned byte for byte; so are the error
+// strings callers match on and the deterministic parts of a Result.
+// The expected values were recorded when the interpreted and compiled
+// engines still coexisted and agreed on every one of them. A failing
+// pin means a change to the fingerprint preimage, error text or
+// report format: existing caches and snapshots would stop matching.
+// The alloc test pins the point of compilation: a fully cached replay
+// stays within a small constant allocation budget.
 
 import (
 	"context"
+	"encoding/hex"
+	"errors"
+	"reflect"
 	"regexp"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -21,7 +26,7 @@ import (
 var provDuration = regexp.MustCompile(`in [0-9][^ ]*$`)
 
 // maskProvenance zeroes the variable duration suffix of "ok in 12µs"
-// lines so interpreted and compiled provenance compare byte-equal.
+// lines so provenance compares byte-equal across runs.
 func maskProvenance(lines []string) []string {
 	out := make([]string, len(lines))
 	for i, l := range lines {
@@ -30,50 +35,10 @@ func maskProvenance(lines []string) []string {
 	return out
 }
 
-// assertSameResult compares everything deterministic about two
-// results (durations masked).
-func assertSameResult(t *testing.T, a, b *Result) {
-	t.Helper()
-	if len(a.Values) != len(b.Values) {
-		t.Fatalf("values len %d vs %d", len(a.Values), len(b.Values))
-	}
-	for k, v := range a.Values {
-		if bv, ok := b.Values[k]; !ok || bv != v {
-			t.Errorf("value %s: %v vs %v", k, v, bv)
-		}
-	}
-	if len(a.Outputs) != len(b.Outputs) {
-		t.Fatalf("outputs len %d vs %d", len(a.Outputs), len(b.Outputs))
-	}
-	for k, v := range a.Outputs {
-		if b.Outputs[k] != v {
-			t.Errorf("output %s: %v vs %v", k, v, b.Outputs[k])
-		}
-	}
-	if len(a.Steps) != len(b.Steps) {
-		t.Fatalf("steps len %d vs %d", len(a.Steps), len(b.Steps))
-	}
-	for i := range a.Steps {
-		as, bs := a.Steps[i], b.Steps[i]
-		if as.ID != bs.ID || as.Capability != bs.Capability || as.Cached != bs.Cached || as.Remote != bs.Remote {
-			t.Errorf("step %d: %+v vs %+v", i, as, bs)
-		}
-	}
-	if len(a.Checks) != len(b.Checks) {
-		t.Fatalf("checks len %d vs %d", len(a.Checks), len(b.Checks))
-	}
-	for i := range a.Checks {
-		if a.Checks[i] != b.Checks[i] {
-			t.Errorf("check %d: %+v vs %+v", i, a.Checks[i], b.Checks[i])
-		}
-	}
-	ap, bp := maskProvenance(a.Provenance), maskProvenance(b.Provenance)
-	if strings.Join(ap, "\n") != strings.Join(bp, "\n") {
-		t.Errorf("provenance differs:\n%s\n----\n%s", strings.Join(ap, "\n"), strings.Join(bp, "\n"))
-	}
-}
-
-func TestCompiledMatchesRun(t *testing.T) {
+// TestRunGoldenResult pins everything deterministic about a run with
+// quality checks — values, outputs, step stats, check results and
+// provenance bytes — for both the one-shot Run and a precompiled plan.
+func TestRunGoldenResult(t *testing.T) {
 	reg := buildTestRegistry(t)
 	w := pipeline()
 	w.Checks = []QualityCheck{
@@ -82,40 +47,87 @@ func TestCompiledMatchesRun(t *testing.T) {
 		{Name: "n-small", Kind: CheckConsistency, Ref: "dbl.n",
 			Assert: func(v any) (bool, string) { return v.(int) < 10, "n must be < 10" }},
 	}
-	eng := NewEngine(reg, nil)
-	interp, err := eng.Run(context.Background(), w)
-	if err != nil {
-		t.Fatal(err)
+	wantValues := map[string]any{"src.n": 21, "dbl.n": 42, "out.text": "value=42"}
+	wantOutputs := map[string]any{"text": "value=42"}
+	wantSteps := []StepStat{
+		{ID: "src", Capability: "test.source"},
+		{ID: "dbl", Capability: "test.double"},
+		{ID: "out", Capability: "test.render"},
 	}
+	wantChecks := []CheckResult{
+		{Name: "n-positive", Kind: CheckSanity, Passed: true, Note: "n must be positive"},
+		{Name: "n-small", Kind: CheckConsistency, Passed: false, Note: "n must be < 10"},
+	}
+	wantProv := []string{
+		"step src (test.source): ok in 0s",
+		"step dbl (test.double): ok in 0s",
+		"step out (test.render): ok in 0s",
+		"check n-positive [sanity]: pass n must be positive",
+		"check n-small [consistency]: FAIL n must be < 10",
+	}
+
+	eng := NewEngine(reg, nil)
 	cp, err := Compile(w, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := eng.RunCompiled(context.Background(), cp)
-	if err != nil {
-		t.Fatal(err)
+	runs := map[string]func() (*Result, error){
+		"Run":         func() (*Result, error) { return eng.Run(context.Background(), w) },
+		"RunCompiled": func() (*Result, error) { return eng.RunCompiled(context.Background(), cp, 0, nil) },
 	}
-	assertSameResult(t, interp, comp)
-	if comp.Outputs["text"] != "value=42" {
-		t.Errorf("output = %v", comp.Outputs["text"])
+	for name, run := range runs {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(res.Values, wantValues) {
+			t.Errorf("%s: values = %v, want %v", name, res.Values, wantValues)
+		}
+		if !reflect.DeepEqual(res.Outputs, wantOutputs) {
+			t.Errorf("%s: outputs = %v, want %v", name, res.Outputs, wantOutputs)
+		}
+		steps := make([]StepStat, len(res.Steps))
+		for i, st := range res.Steps {
+			if st.Duration <= 0 || st.Err != nil {
+				t.Errorf("%s: step %s duration %v err %v", name, st.ID, st.Duration, st.Err)
+			}
+			st.Duration = 0
+			steps[i] = st
+		}
+		if !reflect.DeepEqual(steps, wantSteps) {
+			t.Errorf("%s: steps = %+v, want %+v", name, steps, wantSteps)
+		}
+		if !reflect.DeepEqual(res.Checks, wantChecks) {
+			t.Errorf("%s: checks = %+v, want %+v", name, res.Checks, wantChecks)
+		}
+		if got := maskProvenance(res.Provenance); !reflect.DeepEqual(got, wantProv) {
+			t.Errorf("%s: provenance = %q, want %q", name, got, wantProv)
+		}
 	}
 }
 
-func TestCompiledFingerprintParity(t *testing.T) {
+// TestFingerprintGolden pins the hex step fingerprints of four plans
+// under the env fingerprint "env-golden" ("" marks a step that is not
+// memoizable).
+func TestFingerprintGolden(t *testing.T) {
 	calls := map[string]*atomic.Int64{}
 	reg := memoRegistry(t, calls)
-	keyer := func(capb *registry.Capability) string {
+	facetKeyer := func(capb *registry.Capability) string {
 		if capb.Name == "memo.double" {
 			return "facet:double"
 		}
 		return "" // fall back to the engine envFP
 	}
-
 	cases := []struct {
 		label string
 		wf    *Workflow
+		keyer func(*registry.Capability) string
+		want  []string
 	}{
-		{"pure chain", memoWorkflow()},
+		{"pure chain", memoWorkflow(), nil, []string{
+			"f35c51177fe5e625cd651f5d12e63eac2ee1419d47e7618d2a8e4c52906f36e7",
+			"416b2a5c4dbabe28feab1bc86169bad7f1c2f8667eb9a0819133f70774e3c1e4",
+		}},
 		{"impure upstream", &Workflow{
 			Name: "impure-chain",
 			Steps: []Step{
@@ -123,31 +135,124 @@ func TestCompiledFingerprintParity(t *testing.T) {
 				{ID: "d", Capability: "memo.double", Inputs: map[string]Binding{"n": Ref("i", "n")}},
 			},
 			Outputs: map[string]string{"out": "d.n"},
+		}, nil, []string{"", ""}},
+		{"facet keyer", keyerWorkflow(), facetKeyer, []string{
+			"8a525d810c259f90071a211b1fbcaa359224231469c2cb1e2b9e5f8f35137987",
+			"695736da528d4cb7f9f0a77026173a30c416e1ca0382b7d49e1c36e65b26b0ff",
+			"d824e904e0e9c2a8e4a3a55a0b19922e7b4bcd271b431aea2ab4477f8dbf0589",
+		}},
+		// One literal of each canonical encoding: string, JSON, float,
+		// bool, int64.
+		{"literal encodings", &Workflow{
+			Name: "literals",
+			Steps: []Step{
+				{ID: "p", Capability: "memo.add", Inputs: map[string]Binding{"a": Lit("x|y:1"), "b": Lit([]string{"p", "q"})}},
+				{ID: "q", Capability: "memo.add", Inputs: map[string]Binding{"a": Lit(2.5), "b": Lit(true)}},
+				{ID: "r", Capability: "memo.add", Inputs: map[string]Binding{"a": Ref("p", "n"), "b": Lit(int64(-7))}},
+			},
+		}, nil, []string{
+			"b25d4b5c528bad902b4ebf6562d6a8c830c5396f83f52cf3dddc9dc795111ca8",
+			"df05900d5fd51880f512c3c2203bedd131b621cff128a53e9c946016380288f7",
+			"466c66c2519ef2cfe3569118417118e23d153c29dd9eab3fd2a51bb22fb9e22d",
 		}},
 	}
 	for _, tc := range cases {
-		eng := NewEngine(reg, nil, WithCache(newMapCache(), "env-parity"), WithEnvKeyer(keyer))
+		opts := []EngineOption{WithCache(newMapCache(), "env-golden")}
+		if tc.keyer != nil {
+			opts = append(opts, WithEnvKeyer(tc.keyer))
+		}
+		eng := NewEngine(reg, nil, opts...)
 		cp, err := Compile(tc.wf, reg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}
-		want := eng.fingerprints(tc.wf, cp.index)
 		got := cp.fingerprintsFor(eng)
-		if len(want) != len(got) {
-			t.Fatalf("%s: fp len %d vs %d", tc.label, len(want), len(got))
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: %d fingerprints, want %d", tc.label, len(got), len(tc.want))
 		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Errorf("%s: step %d fingerprint diverges (interpreted %x vs compiled %x)",
-					tc.label, i, want[i], got[i])
+		for i, fp := range got {
+			if h := hex.EncodeToString([]byte(fp)); h != tc.want[i] {
+				t.Errorf("%s: step %s fingerprint %s, want %s", tc.label, tc.wf.Steps[i].ID, h, tc.want[i])
 			}
 		}
 	}
 }
 
+// TestCompiledErrorShapes pins the exact error text of step failures,
+// contract violations, cancellation and validation failures. Step
+// failures are *StepErrors; a workflow that fails Compile returns
+// Validate's error, from Compile and from Run alike.
+func TestCompiledErrorShapes(t *testing.T) {
+	reg := buildTestRegistry(t)
+	eng := NewEngine(reg, nil)
+	ctx := context.Background()
+
+	steps := []struct {
+		wf   *Workflow
+		want string
+	}{
+		{&Workflow{Name: "failing", Steps: []Step{{ID: "f", Capability: "test.fail"}}},
+			`workflow: step "f" (test.fail): boom`},
+		{&Workflow{Name: "bad", Steps: []Step{{ID: "b", Capability: "test.badimpl"}}},
+			`workflow: step "b" (test.badimpl): capability "test.badimpl" did not produce output "n"`},
+	}
+	for _, tc := range steps {
+		cp, err := Compile(tc.wf, reg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.wf.Name, err)
+		}
+		for name, err := range map[string]error{
+			"Run":         second(eng.Run(ctx, tc.wf)),
+			"RunCompiled": second(eng.RunCompiled(ctx, cp, 0, nil)),
+		} {
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s %s: error %v, want %s", tc.wf.Name, name, err, tc.want)
+			}
+			var se *StepError
+			if !errors.As(err, &se) {
+				t.Errorf("%s %s: error is not a *StepError: %T", tc.wf.Name, name, err)
+			}
+		}
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	const wantCancel = `workflow "test-pipeline": context canceled`
+	if _, err := eng.Run(cancelled, pipeline()); err == nil || err.Error() != wantCancel || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled run: error %v, want %s", err, wantCancel)
+	}
+
+	invalid := []struct {
+		wf   *Workflow
+		is   error
+		want string
+	}{
+		{&Workflow{Name: "unknown", Steps: []Step{{ID: "u", Capability: "test.nope"}}},
+			ErrUnknownCap, `workflow: unknown capability: step "u" wants "test.nope"`},
+		{&Workflow{Name: "badref", Steps: []Step{{ID: "d", Capability: "test.double", Inputs: map[string]Binding{"n": Ref("zz", "n")}}}},
+			ErrBadRef, `workflow: unresolved reference: step "d" input "n" references "zz.n"`},
+		{&Workflow{Name: "empty"}, ErrEmptyWorkflow, `workflow: no steps`},
+	}
+	for _, tc := range invalid {
+		_, compileErr := Compile(tc.wf, reg)
+		for name, err := range map[string]error{
+			"Validate": tc.wf.Validate(reg),
+			"Compile":  compileErr,
+			"Run":      second(eng.Run(ctx, tc.wf)),
+		} {
+			if err == nil || err.Error() != tc.want || !errors.Is(err, tc.is) {
+				t.Errorf("%s %s: error %v, want %s", tc.wf.Name, name, err, tc.want)
+			}
+		}
+	}
+}
+
+// second returns the error of a (value, error) pair.
+func second[T any](_ T, err error) error { return err }
+
 func TestCompiledCacheInterop(t *testing.T) {
 	ctx := context.Background()
-	// Interpreted run populates the cache; compiled replay must hit it.
+	// A one-shot Run populates the cache; a compiled replay must hit it.
 	{
 		calls := map[string]*atomic.Int64{}
 		reg := memoRegistry(t, calls)
@@ -159,7 +264,7 @@ func TestCompiledCacheInterop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.RunCompiled(ctx, cp)
+		res, err := eng.RunCompiled(ctx, cp, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,16 +273,16 @@ func TestCompiledCacheInterop(t *testing.T) {
 		}
 		for _, name := range []string{"memo.double", "memo.add"} {
 			if n := calls[name].Load(); n != 1 {
-				t.Errorf("%s executed %d times; compiled replay missed the interpreted cache", name, n)
+				t.Errorf("%s executed %d times; compiled replay missed the Run cache", name, n)
 			}
 		}
 		for _, st := range res.Steps {
 			if !st.Cached {
-				t.Errorf("compiled step %s not served from interpreted cache", st.ID)
+				t.Errorf("compiled step %s not served from the Run cache", st.ID)
 			}
 		}
 	}
-	// Compiled run populates the cache; interpreted replay must hit it.
+	// A compiled run populates the cache; a one-shot Run must hit it.
 	{
 		calls := map[string]*atomic.Int64{}
 		reg := memoRegistry(t, calls)
@@ -186,7 +291,7 @@ func TestCompiledCacheInterop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.RunCompiled(ctx, cp); err != nil {
+		if _, err := eng.RunCompiled(ctx, cp, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		res, err := eng.Run(ctx, memoWorkflow())
@@ -195,56 +300,15 @@ func TestCompiledCacheInterop(t *testing.T) {
 		}
 		for _, name := range []string{"memo.double", "memo.add"} {
 			if n := calls[name].Load(); n != 1 {
-				t.Errorf("%s executed %d times; interpreted replay missed the compiled cache", name, n)
+				t.Errorf("%s executed %d times; Run missed the compiled cache", name, n)
 			}
 		}
 		for _, st := range res.Steps {
 			if !st.Cached {
-				t.Errorf("interpreted step %s not served from compiled cache", st.ID)
+				t.Errorf("Run step %s not served from the compiled cache", st.ID)
 			}
 		}
 	}
-}
-
-func TestCompiledErrorShapes(t *testing.T) {
-	reg := buildTestRegistry(t)
-	eng := NewEngine(reg, nil)
-	ctx := context.Background()
-
-	cases := []struct {
-		label string
-		wf    *Workflow
-	}{
-		{"step failure", &Workflow{Name: "failing", Steps: []Step{{ID: "f", Capability: "test.fail"}}}},
-		{"contract violation", &Workflow{Name: "bad", Steps: []Step{{ID: "b", Capability: "test.badimpl"}}}},
-	}
-	for _, tc := range cases {
-		_, interpErr := eng.Run(ctx, tc.wf)
-		cp, err := Compile(tc.wf, reg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.label, err)
-		}
-		_, compErr := eng.RunCompiled(ctx, cp)
-		if interpErr == nil || compErr == nil {
-			t.Fatalf("%s: want errors, got %v / %v", tc.label, interpErr, compErr)
-		}
-		if interpErr.Error() != compErr.Error() {
-			t.Errorf("%s: error text diverges:\n  interpreted: %v\n  compiled:    %v",
-				tc.label, interpErr, compErr)
-		}
-		var se *StepError
-		if !asStepError(compErr, &se) {
-			t.Errorf("%s: compiled error is not a *StepError: %T", tc.label, compErr)
-		}
-	}
-}
-
-func asStepError(err error, target **StepError) bool {
-	se, ok := err.(*StepError)
-	if ok {
-		*target = se
-	}
-	return ok
 }
 
 func TestCompiledEnvFingerprintSeparation(t *testing.T) {
@@ -259,12 +323,12 @@ func TestCompiledEnvFingerprintSeparation(t *testing.T) {
 	engA := NewEngine(reg, nil, WithCache(cache, "envA"))
 	engB := NewEngine(reg, nil, WithCache(cache, "envB"))
 
-	if _, err := engA.RunCompiled(ctx, cp); err != nil {
+	if _, err := engA.RunCompiled(ctx, cp, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Different environment, shared plan and cache: must execute again,
 	// not hit envA's entries.
-	if _, err := engB.RunCompiled(ctx, cp); err != nil {
+	if _, err := engB.RunCompiled(ctx, cp, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := calls["memo.double"].Load(); n != 2 {
@@ -272,7 +336,7 @@ func TestCompiledEnvFingerprintSeparation(t *testing.T) {
 	}
 	// Back to envA: the memoized vector was displaced by envB, but the
 	// recomputed digests must still hit envA's cache entries.
-	res, err := engA.RunCompiled(ctx, cp)
+	res, err := engA.RunCompiled(ctx, cp, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,17 +361,17 @@ func TestCompiledWarmReplayAllocs(t *testing.T) {
 	}
 	calls := map[string]*atomic.Int64{}
 	reg := memoRegistry(t, calls)
-	eng := NewEngine(reg, nil, WithCache(newMapCache(), "envA"), WithParallelism(4))
+	eng := NewEngine(reg, nil, WithCache(newMapCache(), "envA"))
 	cp, err := Compile(memoWorkflow(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := eng.RunCompiled(ctx, cp); err != nil {
+	if _, err := eng.RunCompiled(ctx, cp, 4, nil); err != nil {
 		t.Fatal(err) // populates the cache; replays below are fully warm
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if _, err := eng.RunCompiled(ctx, cp); err != nil {
+		if _, err := eng.RunCompiled(ctx, cp, 4, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -11,6 +11,16 @@ import (
 	"arachnet/internal/registry"
 )
 
+// runWith compiles w and runs it with the given parallelism and
+// observer.
+func runWith(ctx context.Context, e *Engine, w *Workflow, parallelism int, obs Observer) (*Result, error) {
+	cp, err := Compile(w, e.reg)
+	if err != nil {
+		return nil, err
+	}
+	return e.RunCompiled(ctx, cp, parallelism, obs)
+}
+
 // gauge tracks how many slow steps are in flight at once.
 type gauge struct {
 	active, peak atomic.Int32
@@ -90,8 +100,7 @@ func diamond() *Workflow {
 func TestIndependentStepsOverlap(t *testing.T) {
 	var g gauge
 	reg := slowRegistry(t, &g, 40*time.Millisecond)
-	eng := NewEngine(reg, nil, WithParallelism(2))
-	res, err := eng.Run(context.Background(), diamond())
+	res, err := runWith(context.Background(), NewEngine(reg, nil), diamond(), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,26 +118,24 @@ func TestIndependentStepsOverlap(t *testing.T) {
 func TestParallelismOneIsSequential(t *testing.T) {
 	var g gauge
 	reg := slowRegistry(t, &g, 10*time.Millisecond)
-	eng := NewEngine(reg, nil, WithParallelism(1))
-	if _, err := eng.Run(context.Background(), diamond()); err != nil {
+	if _, err := runWith(context.Background(), NewEngine(reg, nil), diamond(), 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if p := g.peak.Load(); p != 1 {
-		t.Errorf("peak concurrency = %d under WithParallelism(1)", p)
+		t.Errorf("peak concurrency = %d under parallelism 1", p)
 	}
 }
 
 func TestCancellationAbortsMidWorkflow(t *testing.T) {
 	var g gauge
 	reg := slowRegistry(t, &g, 10*time.Second) // blocks until cancelled
-	eng := NewEngine(reg, nil, WithParallelism(2))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	res, err := eng.Run(ctx, diamond())
+	res, err := runWith(ctx, NewEngine(reg, nil), diamond(), 2, nil)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -260,8 +267,7 @@ func TestObserverSeesEveryStep(t *testing.T) {
 	var g gauge
 	reg := slowRegistry(t, &g, time.Millisecond)
 	obs := &recordingObserver{}
-	eng := NewEngine(reg, nil, WithParallelism(2), WithObserver(obs))
-	if _, err := eng.Run(context.Background(), diamond()); err != nil {
+	if _, err := runWith(context.Background(), NewEngine(reg, nil), diamond(), 2, obs); err != nil {
 		t.Fatal(err)
 	}
 	if len(obs.started) != 3 || len(obs.finished) != 3 {
@@ -280,7 +286,7 @@ func TestObserverSeesFailure(t *testing.T) {
 	reg := buildTestRegistry(t)
 	obs := &recordingObserver{}
 	w := &Workflow{Name: "failing", Steps: []Step{{ID: "f", Capability: "test.fail"}}}
-	_, err := NewEngine(reg, nil, WithObserver(obs)).Run(context.Background(), w)
+	_, err := runWith(context.Background(), NewEngine(reg, nil), w, 0, obs)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -300,7 +306,7 @@ func TestObserverSeesContractViolation(t *testing.T) {
 	})
 	obs := &recordingObserver{}
 	w := &Workflow{Name: "hollow", Steps: []Step{{ID: "h", Capability: "t.hollow"}}}
-	_, err := NewEngine(r, nil, WithObserver(obs)).Run(context.Background(), w)
+	_, err := runWith(context.Background(), NewEngine(r, nil), w, 0, obs)
 	var se *StepError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %T, want *StepError", err)
@@ -321,12 +327,14 @@ func TestObserverCancelAbortsRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	obs := &recordingObserver{}
-	eng := NewEngine(reg, nil, WithParallelism(1),
-		WithObserver(obs),
-		WithObserver(funcObserver{onFinished: func(stat StepStat) {
+	cancelling := funcObserver{
+		onStarted: obs.StepStarted,
+		onFinished: func(stat StepStat) {
+			obs.StepFinished(stat)
 			cancel()
-		}}))
-	_, err := eng.Run(ctx, diamond())
+		},
+	}
+	_, err := runWith(ctx, NewEngine(reg, nil), diamond(), 1, cancelling)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -369,8 +377,8 @@ func TestDottedStepIDRejected(t *testing.T) {
 }
 
 // TestProvenanceInWorkflowOrder pins report determinism: when
-// independent steps complete out of listed order, both engines still
-// list their provenance in workflow order, as Steps is, while
+// independent steps complete out of listed order, the engine still
+// lists their provenance in workflow order, as Steps is, while
 // observers see the real completion order.
 func TestProvenanceInWorkflowOrder(t *testing.T) {
 	r := registry.New()
@@ -392,26 +400,16 @@ func TestProvenanceInWorkflowOrder(t *testing.T) {
 		{ID: "l", Capability: "order.slow"},
 		{ID: "r", Capability: "order.fast"},
 	}}
-	cp, err := Compile(w, r)
+	obs := &recordingObserver{}
+	res, err := runWith(context.Background(), NewEngine(r, nil), w, 2, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := map[string]func(*Engine) (*Result, error){
-		"interpreted": func(e *Engine) (*Result, error) { return e.Run(context.Background(), w) },
-		"compiled":    func(e *Engine) (*Result, error) { return e.RunCompiled(context.Background(), cp) },
+	if len(obs.finished) != 2 || obs.finished[0].ID != "r" {
+		t.Fatalf("fast step did not finish first: %+v", obs.finished)
 	}
-	for name, fn := range run {
-		obs := &recordingObserver{}
-		res, err := fn(NewEngine(r, nil, WithParallelism(2), WithObserver(obs)))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(obs.finished) != 2 || obs.finished[0].ID != "r" {
-			t.Fatalf("%s: fast step did not finish first: %+v", name, obs.finished)
-		}
-		if len(res.Provenance) != 2 || !strings.HasPrefix(res.Provenance[0], "step l ") ||
-			!strings.HasPrefix(res.Provenance[1], "step r ") {
-			t.Errorf("%s: provenance not in workflow order: %q", name, res.Provenance)
-		}
+	if len(res.Provenance) != 2 || !strings.HasPrefix(res.Provenance[0], "step l ") ||
+		!strings.HasPrefix(res.Provenance[1], "step r ") {
+		t.Errorf("provenance not in workflow order: %q", res.Provenance)
 	}
 }

@@ -3,6 +3,14 @@
 // execution engine with provenance recording, and the quality-check
 // machinery SolutionWeaver weaves into generated solutions.
 //
+// # Execution
+//
+// There is one execution engine. Compile validates a workflow and
+// lowers it into an immutable CompiledPlan; Engine.RunCompiled
+// executes a plan; Engine.Run compiles a one-shot plan and runs it.
+// Callers that replay a workflow (core's plan cache) compile it once
+// and keep the plan. See compiled.go.
+//
 // # Step memoization
 //
 // An Engine built WithCache consults a Cache before executing each
@@ -31,11 +39,9 @@ package workflow
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -303,12 +309,12 @@ func (r *Result) QualityScore() float64 {
 	return float64(passed) / float64(len(r.Checks))
 }
 
-// Observer watches per-step execution of one Run: StepStarted fires as
+// Observer watches per-step execution of one run: StepStarted fires as
 // a step is handed to a worker, StepFinished when it reports back (a
 // non-nil StepStat.Err marks failure, including output-contract
 // violations). Both methods are invoked from the run's scheduler
-// goroutine, so calls within one Run are serialized; an Observer
-// shared across concurrent Runs must be safe for concurrent use.
+// goroutine, so calls within one run are serialized; an Observer
+// shared across concurrent runs must be safe for concurrent use.
 // Observers watch — they cannot veto. To abort a run from an observer,
 // cancel the run's context.
 type Observer interface {
@@ -344,41 +350,25 @@ type Dispatcher interface {
 	DispatchStep(ctx context.Context, capb *registry.Capability, in map[string]any, env any, fingerprint string) (out map[string]any, handled bool, err error)
 }
 
-// Engine executes validated workflows against a registry and a shared
+// Engine executes compiled workflows against a registry and a shared
 // environment value passed to every capability call. Steps whose
-// inputs do not depend on each other run concurrently, bounded by the
-// engine's parallelism; the dependency graph is derived from Ref
-// bindings. An Engine is stateless and safe for concurrent Run calls.
+// inputs do not depend on each other run concurrently, bounded by each
+// run's parallelism; the dependency graph is derived from Ref
+// bindings. An Engine holds only what is shared across runs (cache,
+// environment keys, dispatcher) — parallelism and observers are
+// arguments of each RunCompiled call — so it is stateless and safe for
+// concurrent runs.
 type Engine struct {
-	reg         *registry.Registry
-	env         any
-	parallelism int
-	observers   []Observer
-	cache       Cache
-	envFP       string
-	envKeyer    func(*registry.Capability) string
-	dispatcher  Dispatcher
+	reg        *registry.Registry
+	env        any
+	cache      Cache
+	envFP      string
+	envKeyer   func(*registry.Capability) string
+	dispatcher Dispatcher
 }
 
 // EngineOption configures an Engine.
 type EngineOption func(*Engine)
-
-// WithParallelism bounds how many independent steps run concurrently
-// (default GOMAXPROCS; values below 1 mean sequential execution).
-func WithParallelism(n int) EngineOption {
-	return func(e *Engine) { e.parallelism = n }
-}
-
-// WithObserver attaches a step-level observer to every Run of this
-// engine. May be given multiple times; observers fire in attachment
-// order.
-func WithObserver(o Observer) EngineOption {
-	return func(e *Engine) {
-		if o != nil {
-			e.observers = append(e.observers, o)
-		}
-	}
-}
 
 // WithCache memoizes pure steps through c. envFingerprint must
 // uniquely identify the execution environment the engine runs against:
@@ -419,89 +409,11 @@ func WithDispatcher(d Dispatcher) EngineOption {
 
 // NewEngine builds an engine.
 func NewEngine(reg *registry.Registry, env any, opts ...EngineOption) *Engine {
-	e := &Engine{reg: reg, env: env, parallelism: runtime.GOMAXPROCS(0)}
+	e := &Engine{reg: reg, env: env}
 	for _, opt := range opts {
 		opt(e)
 	}
-	if e.parallelism < 1 {
-		e.parallelism = 1
-	}
 	return e
-}
-
-// stepDone is a completed step reported back to the scheduler.
-type stepDone struct {
-	idx  int
-	capb *registry.Capability
-	stat StepStat
-	out  map[string]any
-}
-
-// fingerprints computes the per-step cache keys for a validated
-// workflow, in step order (steps only reference earlier steps, so one
-// forward pass suffices). An empty string marks a step that must not
-// be memoized: its capability is not Pure, a literal input has no
-// deterministic canonical form, or it depends on such a step.
-func (e *Engine) fingerprints(w *Workflow, index map[string]int) []string {
-	fps := make([]string, len(w.Steps))
-	// One reusable buffer keeps fingerprinting allocation-free on the
-	// hot serving path; keys are raw 32-byte digests (in-process map
-	// keys, never displayed).
-	buf := make([]byte, 0, 256)
-	var names []string
-	// Each part is length-prefixed so parts containing any byte
-	// sequence (literals come from arbitrary user queries) can never
-	// forge a field boundary and collide two distinct input sets.
-	field := func(b []byte, parts ...string) []byte {
-		for _, p := range parts {
-			b = strconv.AppendInt(b, int64(len(p)), 10)
-			b = append(b, ':')
-			b = append(b, p...)
-		}
-		return b
-	}
-	for i, s := range w.Steps {
-		capb, err := e.reg.Get(s.Capability)
-		if err != nil || !capb.Pure {
-			continue
-		}
-		envKey := e.envFP
-		if e.envKeyer != nil {
-			if k := e.envKeyer(capb); k != "" {
-				envKey = k
-			}
-		}
-		buf = field(buf[:0], "cap", s.Capability, "env", envKey)
-		names = names[:0]
-		for name := range s.Inputs {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		ok := true
-		for _, name := range names {
-			b := s.Inputs[name]
-			if b.IsRef() {
-				up := fps[index[RefStepID(b.Ref)]]
-				if up == "" {
-					ok = false
-					break
-				}
-				buf = field(buf, "r", name, up, RefPort(b.Ref))
-				continue
-			}
-			lit, err := canonicalValue(b.Literal)
-			if err != nil {
-				ok = false
-				break
-			}
-			buf = field(buf, "l", name, lit)
-		}
-		if ok {
-			sum := sha256.Sum256(buf)
-			fps[i] = string(sum[:])
-		}
-	}
-	return fps
 }
 
 // canonicalValue renders a literal input deterministically. Scalars
@@ -531,240 +443,17 @@ func canonicalValue(v any) (string, error) {
 	return "j" + string(b), nil
 }
 
-// Run validates and executes the workflow. Ready steps (all Ref
-// dependencies satisfied) execute concurrently up to the engine's
-// parallelism. A step error stops new steps from launching, waits for
-// in-flight ones, and is returned as a *StepError; cancellation of ctx
-// aborts the run the same way with the context's error. Quality checks
-// never abort.
+// Run compiles w against the engine's registry and executes the
+// one-shot plan: Compile followed by RunCompiled with GOMAXPROCS
+// parallelism and no observer. A workflow that fails validation
+// returns Validate's error. Callers that execute one workflow many
+// times should Compile it once and call RunCompiled themselves.
 func (e *Engine) Run(ctx context.Context, w *Workflow) (*Result, error) {
-	if err := w.Validate(e.reg); err != nil {
+	cp, err := Compile(w, e.reg)
+	if err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	// Derive the dependency graph from Ref bindings.
-	n := len(w.Steps)
-	index := make(map[string]int, n) // step ID → index
-	for i, s := range w.Steps {
-		index[s.ID] = i
-	}
-	dependents := make([][]int, n)
-	indegree := make([]int, n)
-	for i, s := range w.Steps {
-		from := map[int]bool{}
-		for _, b := range s.Inputs {
-			if !b.IsRef() {
-				continue
-			}
-			src := index[RefStepID(b.Ref)]
-			if !from[src] {
-				from[src] = true
-				dependents[src] = append(dependents[src], i)
-				indegree[i]++
-			}
-		}
-	}
-
-	res := &Result{Values: map[string]any{}, Outputs: map[string]any{}}
-	var ready []int
-	for i := 0; i < n; i++ {
-		if indegree[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-
-	// Cache keys are computed up front from the plan alone; a step with
-	// an empty fingerprint is never memoized. A dispatcher needs them
-	// even without an engine cache: remote workers key their local
-	// caches by the same fingerprints.
-	var fps []string
-	if e.cache != nil || e.dispatcher != nil {
-		fps = e.fingerprints(w, index)
-	}
-
-	// Scheduler loop: the only goroutine that touches res; workers get
-	// a prebuilt input map and report on the done channel. Provenance
-	// lines are held by step index and emitted in workflow order, like
-	// Steps, so a report does not depend on completion order (which
-	// observers still see through StepFinished).
-	done := make(chan stepDone)
-	prov := make([]string, n)
-	running := 0
-	var firstErr error
-
-	// settle folds one completed step into the result: stats,
-	// provenance, output-contract verification, cache write-back, and
-	// dependent release. It runs only on the scheduler goroutine.
-	settle := func(d stepDone) {
-		s := w.Steps[d.idx]
-		res.Steps = append(res.Steps, d.stat)
-		if d.stat.Err != nil {
-			prov[d.idx] = fmt.Sprintf("step %s (%s): FAILED: %v", s.ID, s.Capability, d.stat.Err)
-			if firstErr == nil {
-				firstErr = &StepError{Step: s.ID, Capability: s.Capability, Err: d.stat.Err}
-			}
-			e.stepFinished(d.stat)
-			return
-		}
-		// Verify the implementation honored its contract.
-		var contractErr error
-		for _, out := range d.capb.Outputs {
-			v, ok := d.out[out.Name]
-			if !ok {
-				contractErr = fmt.Errorf("capability %q did not produce output %q", s.Capability, out.Name)
-				break
-			}
-			res.Values[s.ID+"."+out.Name] = v
-		}
-		if contractErr != nil {
-			if firstErr == nil {
-				firstErr = &StepError{Step: s.ID, Capability: s.Capability, Err: contractErr}
-			}
-			notify := d.stat
-			notify.Err = contractErr
-			e.stepFinished(notify)
-			return
-		}
-		if d.stat.Cached {
-			prov[d.idx] = fmt.Sprintf("step %s (%s): ok (cached)", s.ID, s.Capability)
-		} else {
-			if e.cache != nil && fps[d.idx] != "" {
-				e.cache.Put(fps[d.idx], d.out)
-			}
-			prov[d.idx] = fmt.Sprintf("step %s (%s): ok in %v", s.ID, s.Capability, d.stat.Duration.Round(time.Microsecond))
-		}
-		e.stepFinished(d.stat)
-		for _, j := range dependents[d.idx] {
-			indegree[j]--
-			if indegree[j] == 0 {
-				ready = append(ready, j)
-			}
-		}
-	}
-
-	launch := func(i int) {
-		s := w.Steps[i]
-		capb, _ := e.reg.Get(s.Capability)
-		for _, o := range e.observers {
-			o.StepStarted(s.ID, s.Capability)
-		}
-		// Memoized pure step: serve the cached outputs inline on the
-		// scheduler goroutine — no worker, no capability call.
-		if e.cache != nil && fps[i] != "" {
-			if out, ok := e.cache.Get(fps[i]); ok {
-				settle(stepDone{
-					idx:  i,
-					capb: capb,
-					stat: StepStat{ID: s.ID, Capability: s.Capability, Cached: true},
-					out:  out,
-				})
-				return
-			}
-		}
-		in := make(map[string]any, len(s.Inputs))
-		for name, b := range s.Inputs {
-			if b.IsRef() {
-				in[name] = res.Values[b.Ref]
-			} else {
-				in[name] = b.Literal
-			}
-		}
-		running++
-		// Dispatchable step: offer it to the fleet; a decline falls back
-		// to local execution in the same worker goroutine.
-		if e.dispatcher != nil && capb.Pure && s.Affinity != AffinityCoordinator {
-			fp := fps[i]
-			go func() {
-				start := time.Now()
-				out, handled, err := func() (out map[string]any, handled bool, err error) {
-					// Dispatch shares the panic containment of local
-					// capability calls: a broken merge or transport must
-					// fail the step, not the process.
-					defer func() {
-						if r := recover(); r != nil {
-							handled, err = true, fmt.Errorf("dispatch panicked: %v", r)
-						}
-					}()
-					return e.dispatcher.DispatchStep(ctx, capb, in, e.env, fp)
-				}()
-				if handled {
-					done <- stepDone{
-						idx:  i,
-						capb: capb,
-						stat: StepStat{ID: s.ID, Capability: s.Capability, Duration: time.Since(start), Err: err, Remote: true},
-						out:  out,
-					}
-					return
-				}
-				call := &registry.Call{In: in, Out: map[string]any{}, Env: e.env, Ctx: ctx}
-				err = e.safeCall(capb, call)
-				done <- stepDone{
-					idx:  i,
-					capb: capb,
-					stat: StepStat{ID: s.ID, Capability: s.Capability, Duration: time.Since(start), Err: err},
-					out:  call.Out,
-				}
-			}()
-			return
-		}
-		go func() {
-			call := &registry.Call{In: in, Out: map[string]any{}, Env: e.env, Ctx: ctx}
-			start := time.Now()
-			err := e.safeCall(capb, call)
-			done <- stepDone{
-				idx:  i,
-				capb: capb,
-				stat: StepStat{ID: s.ID, Capability: s.Capability, Duration: time.Since(start), Err: err},
-				out:  call.Out,
-			}
-		}()
-	}
-
-	for {
-		for firstErr == nil && ctx.Err() == nil && len(ready) > 0 && running < e.parallelism {
-			next := ready[0]
-			ready = ready[1:]
-			launch(next)
-		}
-		if running == 0 {
-			break
-		}
-		d := <-done
-		running--
-		settle(d)
-	}
-
-	// Stable reporting: stats in workflow step order regardless of
-	// completion order.
-	sort.Slice(res.Steps, func(i, j int) bool { return index[res.Steps[i].ID] < index[res.Steps[j].ID] })
-	for _, line := range prov {
-		if line != "" {
-			res.Provenance = append(res.Provenance, line)
-		}
-	}
-
-	if firstErr != nil {
-		return res, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return res, fmt.Errorf("workflow %q: %w", w.Name, err)
-	}
-	for name, ref := range w.Outputs {
-		res.Outputs[name] = res.Values[ref]
-	}
-	for _, chk := range w.Checks {
-		ok, note := chk.Assert(res.Values[chk.Ref])
-		res.Checks = append(res.Checks, CheckResult{Name: chk.Name, Kind: chk.Kind, Passed: ok, Note: note})
-		status := "pass"
-		if !ok {
-			status = "FAIL"
-		}
-		res.Provenance = append(res.Provenance, fmt.Sprintf("check %s [%s]: %s %s", chk.Name, chk.Kind, status, note))
-	}
-	return res, nil
+	return e.RunCompiled(ctx, cp, 0, nil)
 }
 
 // safeCall invokes a capability with panic containment: a panicking
@@ -779,10 +468,22 @@ func (e *Engine) safeCall(capb *registry.Capability, call *registry.Call) (err e
 	return capb.Impl(call)
 }
 
-// stepFinished reports one completed step to every observer.
-func (e *Engine) stepFinished(stat StepStat) {
-	for _, o := range e.observers {
-		o.StepFinished(stat)
+// safeDispatch offers a step to the engine's dispatcher with the panic
+// containment of local capability calls: a broken merge or transport
+// must fail the step, not the process.
+func (e *Engine) safeDispatch(ctx context.Context, capb *registry.Capability, in map[string]any, fp string) (out map[string]any, handled bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			handled, err = true, fmt.Errorf("dispatch panicked: %v", r)
+		}
+	}()
+	return e.dispatcher.DispatchStep(ctx, capb, in, e.env, fp)
+}
+
+// stepFinished reports one completed step to obs, if any.
+func stepFinished(obs Observer, stat StepStat) {
+	if obs != nil {
+		obs.StepFinished(stat)
 	}
 }
 
