@@ -23,7 +23,7 @@
 //   - AskStream(ctx, query, ...AskOption) returns <-chan Event
 //     immediately; consume events until the channel closes after Done.
 //   - Submit(ctx, query, ...AskOption) enqueues an async Job on a
-//     bounded queue served by a worker pool; track it with Job.Events
+//     bounded queue of run slots; track it with Job.Events
 //     (replayable), Job.Wait, Job.Cancel and sys.Jobs.
 //
 // Per-call options (AskExpert, AskObserver, AskWithoutCuration,
@@ -67,8 +67,8 @@
 // For serving over the network, cmd/arachnet-serve exposes the same
 // pipeline as a multi-tenant HTTP/JSON + SSE service (package
 // internal/serve): each tenant gets its own registry view and cache
-// quotas, and all tenants compete for one worker pool through a shared
-// weighted-fair Scheduler (System.SetScheduler).
+// quotas, and all tenants compete for one set of run slots through a
+// shared weighted-fair Scheduler (System.SetScheduler).
 //
 // Quickstart:
 //
@@ -182,7 +182,7 @@ type (
 	FleetWireStats = fleet.WireStats
 	// JobSummary is a serialization-friendly snapshot of one Job.
 	JobSummary = core.JobSummary
-	// Scheduler is a weighted-fair job queue plus its worker pool;
+	// Scheduler grants concurrent run slots in weighted-fair order;
 	// share one across Systems via System.SetScheduler for
 	// multi-tenant serving (see internal/serve and cmd/arachnet-serve
 	// for the HTTP tier built on it).
@@ -249,10 +249,10 @@ const (
 )
 
 // NewScheduler builds a shared weighted-fair scheduler with the given
-// worker-pool size and global queue depth (non-positive values mean
-// GOMAXPROCS workers and depth 128). Attach Systems to it with
-// System.SetScheduler(sched, class) before their first Submit.
-func NewScheduler(workers, depth int) *Scheduler { return core.NewScheduler(workers, depth) }
+// number of concurrent run slots and global queue depth (non-positive
+// values mean GOMAXPROCS slots and depth 128). Attach Systems to it
+// with System.SetScheduler(sched, class) before their first Submit.
+func NewScheduler(slots, depth int) *Scheduler { return core.NewScheduler(slots, depth) }
 
 // Default cache bounds applied by New; see System.SetCacheLimits. A
 // flush is a disable/re-enable cycle: SetCacheLimits(0, 0, 0) followed
@@ -320,13 +320,14 @@ const (
 
 // Async serving errors.
 var (
-	// ErrJobQueueFull is returned by Submit when the bounded job queue
-	// has no room.
+	// ErrJobQueueFull is returned when the bounded queue has no room
+	// (by Submit, or any call on a System with a shared Scheduler).
 	ErrJobQueueFull = core.ErrJobQueueFull
 	// ErrJobsStarted is returned by SetJobLimits after the first
-	// Submit has started the worker pool.
+	// Submit or SetScheduler.
 	ErrJobsStarted = core.ErrJobsStarted
-	// ErrJobsClosed is returned by Submit after System.Close.
+	// ErrJobsClosed is returned after System.Close (by Submit, or any
+	// call on a System with a shared Scheduler).
 	ErrJobsClosed = core.ErrJobsClosed
 )
 

@@ -188,7 +188,8 @@ func BenchmarkAskObserved(b *testing.B) {
 }
 
 // BenchmarkSubmitWait measures per-job overhead of the async queue
-// versus calling Ask directly.
+// versus calling Ask directly: a Job with its event log and its own
+// goroutine per run.
 func BenchmarkSubmitWait(b *testing.B) {
 	sys := benchSystem(b, false)
 	b.ReportAllocs()
@@ -199,6 +200,30 @@ func BenchmarkSubmitWait(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := j.Wait(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAskAdmitted is BenchmarkAskWarmDefault on a System attached
+// to a shared Scheduler, the way arachnet-serve answers POST /v1/ask:
+// every Ask takes a run slot, runs inline and hands the slot back. The
+// delta against BenchmarkAskWarmDefault is the admission layer's cost,
+// against BenchmarkSubmitWait the Job layer it replaces.
+func BenchmarkAskAdmitted(b *testing.B) {
+	sys := benchSystem(b, false)
+	if err := sys.SetScheduler(arachnet.NewScheduler(0, 0), "bench"); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		if _, err := sys.Ask(ctx, benchQueries[1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Ask(ctx, benchQueries[1]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -139,7 +139,7 @@ func main() {
 // Job.Wait — the serving-surface counterpart of the per-call tables
 // above.
 func serving(seed uint64) {
-	header("Async serving (bounded job queue, worker pool)")
+	header("Async serving (bounded job queue, run slots)")
 	sys, err := arachnet.New(
 		arachnet.WithSeed(seed),
 		arachnet.WithScenario(arachnet.ScenarioConfig{Seed: seed}),

@@ -22,8 +22,8 @@
 //
 // With no -tenants file the server runs one open tenant named
 // "default". SIGINT/SIGTERM triggers a graceful shutdown: new requests
-// are refused, accepted jobs drain (bounded by -drain-timeout), then
-// the process exits.
+// are refused, accepted runs — jobs and synchronous asks — drain
+// (bounded by -drain-timeout), then the process exits.
 //
 // With -snapshot FILE the server persists its warm caches across
 // restarts: each tenant's plan and step caches are written to the file
@@ -59,7 +59,7 @@ func main() {
 		world        = flag.String("world", "full", "world size: full|small")
 		seed         = flag.Uint64("seed", 42, "world seed")
 		scenario     = flag.Bool("scenario", false, "inject a cable-failure measurement scenario (enables cascade/forensic queries)")
-		workers      = flag.Int("workers", 0, "scheduler worker pool size (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "concurrent pipeline runs the scheduler grants (0 = GOMAXPROCS)")
 		depth        = flag.Int("depth", 0, "global job queue depth (0 = default 128)")
 		timeout      = flag.Duration("timeout", 2*time.Minute, "default per-request pipeline timeout (0 = unbounded)")
 		maxTimeout   = flag.Duration("max-timeout", 10*time.Minute, "cap on client-requested timeouts (0 = uncapped)")

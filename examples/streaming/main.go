@@ -1,9 +1,10 @@
 // Streaming and async serving: the same pipeline consumed two ways.
 // First AskStream turns one query into a live feed of typed events —
 // stages, steps, promotions — ending with Done. Then the job queue
-// turns the System into a server: Submit returns immediately, jobs run
-// on a worker pool, and each one is watched (Events), awaited (Wait)
-// or cancelled (Cancel) independently.
+// turns the System into a server: Submit returns immediately, each job
+// runs on its own goroutine once it holds one of the bounded run slots,
+// and each one is watched (Events), awaited (Wait) or cancelled
+// (Cancel) independently.
 package main
 
 import (
@@ -48,7 +49,7 @@ func main() {
 	}
 
 	// 2. Many queries, asynchronously: Submit never blocks on the
-	// pipeline; the worker pool drains the queue while we do other
+	// pipeline; the jobs take run slots and execute while we do other
 	// work, then each Wait collects one result.
 	fmt.Println("\n── async job queue ──")
 	queries := []string{

@@ -1,6 +1,6 @@
 // Cross-call memoization: a sharded, size-bounded LRU shared by every
-// serving surface of a System (Ask, AskStream, AskBatch and the async
-// job workers). Two instances exist per System — a plan cache keyed by
+// serving surface of a System (Ask, AskStream, AskBatch and submitted
+// jobs). Two instances exist per System — a plan cache keyed by
 // (normalized query, registry generation, environment fingerprint)
 // that skips the three planning agents for repeat queries, and a step
 // cache behind the workflow.Cache interface that memoizes pure

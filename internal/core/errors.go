@@ -9,14 +9,14 @@ import (
 
 // Async serving errors (see jobs.go).
 var (
-	// ErrJobQueueFull is returned by Submit when the bounded job queue
-	// has no room; callers should shed load or retry later.
+	// ErrJobQueueFull is returned when the bounded queue has no room;
+	// callers should shed load or retry later.
 	ErrJobQueueFull = errors.New("arachnet: job queue full")
-	// ErrJobsStarted is returned by SetJobLimits after the worker pool
-	// has already started (first Submit wins).
+	// ErrJobsStarted is returned by SetJobLimits and SetScheduler once
+	// the System has a scheduler (first Submit or attach wins).
 	ErrJobsStarted = errors.New("arachnet: job workers already started")
-	// ErrJobsClosed is returned by Submit after Close shut the job
-	// subsystem down.
+	// ErrJobsClosed is returned after Close shut the job subsystem
+	// down (see System.Close).
 	ErrJobsClosed = errors.New("arachnet: job subsystem closed")
 )
 

@@ -1,20 +1,23 @@
 // Async serving: a bounded-queue job subsystem that turns one System
-// into a long-lived server. Submit enqueues a query and returns a Job
-// immediately; a lazily-started worker pool (owned by a Scheduler, see
-// scheduler.go) drains the queue through the same event-emitting
-// pipeline that backs Ask and AskStream. Jobs are tracked (Jobs),
-// observable (Events), awaitable (Wait) and cancellable (Cancel) —
-// queued or mid-run. By default each System gets a private single-class
-// scheduler (plain bounded FIFO); SetScheduler attaches a shared
-// weighted-fair one instead, the seam the multi-tenant HTTP tier uses.
+// into a long-lived server. Submit claims a run slot from the System's
+// Scheduler (see scheduler.go) and returns a Job immediately; the job
+// runs on its own goroutine once the slot is granted, through the same
+// event-emitting pipeline that backs Ask and AskStream, recording its
+// events in a replayable log. Jobs are tracked (Jobs), observable
+// (Events), awaitable (Wait) and cancellable (Cancel) — queued or
+// mid-run. By default each System gets a private single-class
+// scheduler (plain bounded FIFO) for its jobs; SetScheduler attaches a
+// shared weighted-fair one instead, the seam the multi-tenant HTTP tier
+// uses, and then admits every blocking run through it as well. A
+// blocking run takes a slot and runs inline: it creates no Job.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -22,9 +25,9 @@ import (
 type JobState string
 
 const (
-	// JobQueued: accepted, waiting for a worker.
+	// JobQueued: accepted, waiting for a run slot.
 	JobQueued JobState = "queued"
-	// JobRunning: a worker is executing the pipeline.
+	// JobRunning: the job holds a slot and is executing the pipeline.
 	JobRunning JobState = "running"
 	// JobDone: finished — successfully or with an error (see Wait).
 	JobDone JobState = "done"
@@ -36,8 +39,8 @@ const (
 func (st JobState) terminal() bool { return st == JobDone || st == JobCancelled }
 
 const (
-	// defaultJobQueueDepth bounds how many jobs may wait for a worker
-	// before Submit starts refusing with ErrJobQueueFull.
+	// defaultJobQueueDepth bounds how many runs may wait for a slot
+	// before the scheduler starts refusing with ErrJobQueueFull.
 	defaultJobQueueDepth = 128
 	// maxRetainedJobs bounds how many finished jobs Jobs() remembers;
 	// older finished jobs are pruned so a long-lived server's job
@@ -51,11 +54,8 @@ type Job struct {
 	id    uint64
 	query string
 	opts  []AskOption
-	// sys is the System that submitted the job: scheduler workers run
-	// each job on its own System, so a shared pool serves many isolated
-	// registries and caches. class is the scheduling class the System
-	// was attached under (empty for a private scheduler).
-	sys   *System
+	// class is the scheduling class the System was attached under
+	// (empty for a private scheduler).
 	class string
 
 	ctx    context.Context
@@ -147,19 +147,25 @@ func (j *Job) Wait(ctx context.Context) (*Report, error) {
 // jobs.
 func (j *Job) Cancel() {
 	j.mu.Lock()
-	if j.state == JobQueued {
-		j.cancelled = true
-		j.events = append(j.events, j.jobDoneEvent())
-		j.finishLocked(nil, context.Canceled)
-		j.mu.Unlock()
-		j.cancel()
-		return
-	}
-	if j.state == JobRunning {
+	if !j.state.terminal() {
 		j.cancelled = true
 	}
+	j.abandonLocked(context.Canceled)
 	j.mu.Unlock()
 	j.cancel()
+}
+
+// abandonLocked ends a job that never ran with err, recording a
+// synthesized terminal Done so Events subscribers of a never-run job
+// still observe one. A job that started is left alone.
+func (j *Job) abandonLocked(err error) {
+	if j.state != JobQueued {
+		return
+	}
+	ev := &Done{Err: err}
+	ev.Query, ev.Time = j.query, time.Now()
+	j.events = append(j.events, ev)
+	j.finishLocked(nil, err)
 }
 
 // subscriberGrace bounds how long a replay goroutine waits on a
@@ -183,11 +189,10 @@ func (j *Job) Events() <-chan Event {
 // event from the first, then each new one as it is appended, closing
 // once terminal reports true and the log is drained. mu guards *log
 // and terminal's state; cond (on mu) must be broadcast on every append
-// and on the terminal transition. Delivery prefers the consumer: a
-// ready receiver or buffer space always wins. Until live closes a send
-// blocks (the log decouples the producer, so a slow consumer never
-// stalls it); after that, a bounded grace period separates slow
-// consumers from abandoned ones.
+// and on the terminal transition. Each event goes out through deliver
+// with live as its liveness signal (the log decouples the producer, so
+// a slow consumer never stalls it); a consumer that outlasts the grace
+// period ends the replay.
 func replayLog[E any](mu *sync.Mutex, cond *sync.Cond, log *[]E, terminal func() bool, live <-chan struct{}) <-chan E {
 	ch := make(chan E, streamBuffer)
 	go func() {
@@ -203,26 +208,39 @@ func replayLog[E any](mu *sync.Mutex, cond *sync.Cond, log *[]E, terminal func()
 			}
 			ev := (*log)[i]
 			mu.Unlock()
-			select {
-			case ch <- ev:
-				continue
-			default:
-			}
-			select {
-			case ch <- ev:
-				continue
-			case <-live:
-			}
-			t := time.NewTimer(subscriberGrace)
-			select {
-			case ch <- ev:
-				t.Stop()
-			case <-t.C:
+			if !deliver(ch, ev, live) {
 				return
 			}
 		}
 	}()
 	return ch
+}
+
+// deliver sends ev to a stream consumer and reports whether it was
+// taken. It prefers the consumer: a ready receiver or buffer space
+// always wins, even once live has closed, so a draining consumer never
+// loses an event to a race with live. Until live closes the send
+// blocks; after that a bounded grace period separates slow consumers
+// from abandoned ones, and false means the consumer is gone.
+func deliver[E any](ch chan<- E, ev E, live <-chan struct{}) bool {
+	select {
+	case ch <- ev:
+		return true
+	default:
+	}
+	select {
+	case ch <- ev:
+		return true
+	case <-live:
+	}
+	t := time.NewTimer(subscriberGrace)
+	defer t.Stop()
+	select {
+	case ch <- ev:
+		return true
+	case <-t.C:
+		return false
+	}
 }
 
 // record appends one pipeline event to the job's log (the emitter sink
@@ -234,17 +252,19 @@ func (j *Job) record(ev Event) {
 	j.mu.Unlock()
 }
 
-// finish moves the job to its terminal state.
-func (j *Job) finish(rep *Report, err error) {
-	j.mu.Lock()
-	j.finishLocked(rep, err)
-	j.mu.Unlock()
-}
-
+// finishLocked moves a job that holds no run slot to its terminal
+// state and releases its waiters.
 func (j *Job) finishLocked(rep *Report, err error) {
 	if j.state.terminal() {
 		return
 	}
+	j.settleLocked(rep, err)
+	close(j.done)
+}
+
+// settleLocked records the job's outcome and terminal state and wakes
+// event subscribers; Wait and Done still block until done closes.
+func (j *Job) settleLocked(rep *Report, err error) {
 	j.report, j.err = rep, err
 	// A job is JobCancelled only when it actually failed because of
 	// cancellation — via Job.Cancel or the Submit parent context. A
@@ -256,34 +276,32 @@ func (j *Job) finishLocked(rep *Report, err error) {
 	} else {
 		j.state = JobDone
 	}
-	close(j.done)
 	j.cond.Broadcast()
 }
 
-// jobTable is the System's async serving state: the scheduler the
-// System routes jobs through (private by default, shared via
-// SetScheduler) and the submission-ordered job index.
+// jobTable is the System's serving state: the scheduler the System
+// takes run slots from (private by default, shared via SetScheduler)
+// and the submission-ordered job index.
 type jobTable struct {
 	mu      sync.Mutex
 	workers int
 	depth   int
 	sched   *Scheduler
-	// private marks a scheduler this System created for itself (and so
-	// owns: Close closes it). An attached shared scheduler is left
-	// running for its other Systems.
-	private bool
-	class   string
-	closed  bool
-	nextID  uint64
-	jobs    []*Job
+	class   *schedClass // the class runs take slots under; set with sched
+	// shared is class once a shared Scheduler is attached; blocking
+	// runs read it without mu (see admitted).
+	shared atomic.Pointer[schedClass]
+	closed atomic.Bool
+	nextID uint64
+	jobs   []*Job
 }
 
-// SetJobLimits configures the private async serving pool: workers is
-// the number of concurrent pipeline runs, depth the bound of the
-// waiting queue. Non-positive values keep the defaults (GOMAXPROCS
-// workers, depth 128). It must be called before the first Submit (and
-// is mutually exclusive with SetScheduler — a shared scheduler brings
-// its own pool); afterwards it fails with ErrJobsStarted.
+// SetJobLimits configures the private scheduler Submit uses: workers
+// is the number of concurrent job runs, depth the bound of the waiting
+// queue. Non-positive values keep the defaults (GOMAXPROCS slots,
+// depth 128). It must be called before the first Submit (and is
+// mutually exclusive with SetScheduler — a shared scheduler brings its
+// own slots); afterwards it fails with ErrJobsStarted.
 func (s *System) SetJobLimits(workers, depth int) error {
 	s.jobs.mu.Lock()
 	defer s.jobs.mu.Unlock()
@@ -296,12 +314,12 @@ func (s *System) SetJobLimits(workers, depth int) error {
 }
 
 // SetScheduler attaches the System to a shared Scheduler under the
-// given scheduling class: subsequent Submits compete for the shared
-// worker pool according to the class's weight and bounds, while the
-// System keeps its own registry, caches and job table — the isolation
-// seam the multi-tenant serving tier builds on. It must be called
-// before the first Submit; afterwards (or after a previous attach) it
-// fails with ErrJobsStarted.
+// given scheduling class: subsequent runs — Submits and blocking calls
+// alike — compete for its run slots by the class's weight and bounds,
+// while the System keeps its own registry, caches and job table — the
+// isolation seam the multi-tenant serving tier builds on. It must be
+// called before the first Submit; afterwards (or after a previous
+// attach) it fails with ErrJobsStarted.
 func (s *System) SetScheduler(sc *Scheduler, class string) error {
 	if sc == nil {
 		return fmt.Errorf("core: nil scheduler")
@@ -312,17 +330,18 @@ func (s *System) SetScheduler(sc *Scheduler, class string) error {
 		return ErrJobsStarted
 	}
 	s.jobs.sched = sc
-	s.jobs.class = class
+	s.jobs.class = sc.class(class)
+	s.jobs.shared.Store(s.jobs.class)
 	return nil
 }
 
 // Submit enqueues a query for asynchronous execution and returns its
-// Job immediately. The first Submit starts the worker pool. If the
-// bounded queue (global depth, or the System's class bound on a shared
-// scheduler) is full, Submit fails fast with ErrJobQueueFull rather
-// than blocking the caller — shed load or retry later. Cancelling ctx
-// cancels the job, queued or running; per-call AskOptions apply when
-// the job runs.
+// Job immediately; the job runs on its own goroutine once its run slot
+// is granted. If the bounded queue (global depth, or the System's
+// class bound on a shared scheduler) is full, Submit fails fast with
+// ErrJobQueueFull rather than blocking the caller — shed load or retry
+// later. Cancelling ctx cancels the job, queued (its slot claim is
+// withdrawn) or running; per-call AskOptions apply when the job runs.
 func (s *System) Submit(ctx context.Context, query string, opts ...AskOption) (*Job, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -331,7 +350,6 @@ func (s *System) Submit(ctx context.Context, query string, opts ...AskOption) (*
 	j := &Job{
 		query:  query,
 		opts:   opts,
-		sys:    s,
 		ctx:    jctx,
 		cancel: cancel,
 		state:  JobQueued,
@@ -340,14 +358,15 @@ func (s *System) Submit(ctx context.Context, query string, opts ...AskOption) (*
 	j.cond = sync.NewCond(&j.mu)
 
 	s.jobs.mu.Lock()
-	if s.jobs.closed {
+	if s.jobs.closed.Load() {
 		s.jobs.mu.Unlock()
 		cancel()
 		return nil, ErrJobsClosed
 	}
 	s.ensureSchedulerLocked()
-	j.class = s.jobs.class
-	if err := s.jobs.sched.enqueue(j); err != nil {
+	j.class = s.jobs.class.name
+	t, err := s.jobs.sched.enqueue(s.jobs.class)
+	if err != nil {
 		s.jobs.mu.Unlock()
 		cancel()
 		return nil, err
@@ -356,32 +375,28 @@ func (s *System) Submit(ctx context.Context, query string, opts ...AskOption) (*
 	j.id = s.jobs.nextID
 	s.jobs.jobs = append(s.jobs.jobs, j)
 	s.pruneJobsLocked()
+	sc := s.jobs.sched
 	s.jobs.mu.Unlock()
+	go s.serveJob(sc, t, j)
 	return j, nil
 }
 
-// Close shuts the System's async serving down: subsequent Submits and
-// Subscribes fail with ErrJobsClosed, already-accepted jobs — queued
-// or running — complete normally (use Cancel to abort them), and every
-// live subscription is closed (its streams end with a terminal
-// SubscriptionClosed event). A private scheduler is closed with the
-// System (its workers exit once the queue drains); a shared scheduler
-// attached with SetScheduler is left running for its other Systems.
-// Close is idempotent, safe to call concurrently with Submit (the
-// shutdown path races them by design), waits only for subscription
-// loops (not in-flight jobs), and leaves the blocking surfaces (Ask,
-// AskStream, AskBatch) untouched.
+// Close shuts the System's serving down: subsequent Submits, Subscribes
+// and — on a System attached to a shared Scheduler — blocking calls
+// fail with ErrJobsClosed, already-accepted runs complete normally
+// (use Cancel or the run's context to abort them), and every live
+// subscription is closed (its streams end with a terminal
+// SubscriptionClosed event). A shared scheduler is left running for
+// its other Systems. Close is idempotent, safe to call concurrently
+// with Submit (the shutdown path races them by design), and waits only
+// for subscription loops (not in-flight runs).
 func (s *System) Close() {
 	s.jobs.mu.Lock()
-	if s.jobs.closed {
-		s.jobs.mu.Unlock()
+	closed := s.jobs.closed.Swap(true)
+	s.jobs.mu.Unlock()
+	if closed {
 		return
 	}
-	s.jobs.closed = true
-	if s.jobs.private && s.jobs.sched != nil {
-		s.jobs.sched.Close()
-	}
-	s.jobs.mu.Unlock()
 	for _, sub := range s.Subscriptions() {
 		sub.closeWith("system closed")
 	}
@@ -405,12 +420,12 @@ func (s *System) ensureSchedulerLocked() {
 		return
 	}
 	s.jobs.sched = NewScheduler(s.jobs.workers, s.jobs.depth)
-	s.jobs.private = true
+	s.jobs.class = s.jobs.sched.class("")
 }
 
 // pruneJobsLocked drops the oldest finished jobs beyond the retention
 // bound and releases their contexts. In-flight jobs always survive:
-// their combined count is bounded by queue depth + workers, which is
+// their combined count is bounded by queue depth + run slots, which is
 // far below maxRetainedJobs under the defaults. The table is compacted
 // in place, so a full table prunes and refills without reallocating.
 func (s *System) pruneJobsLocked() {
@@ -432,36 +447,21 @@ func (s *System) pruneJobsLocked() {
 	s.jobs.jobs = kept
 }
 
-// Release drops a finished job from the job table ahead of the
-// retention bound and releases its context, so Jobs no longer lists
-// it. A caller that consumed the job's outcome itself — a synchronous
-// ask waiting on its own job — releases it so answered jobs do not
-// keep their event logs and reports alive until pruned. Queued and
-// running jobs, and jobs no longer tracked, are left alone.
-func (s *System) Release(j *Job) {
-	if !j.State().terminal() {
+// serveJob is a submitted job's goroutine: it waits for the job's run
+// slot, runs the shared event-emitting pipeline with the job's event
+// log as the sink, and hands the slot back. A job whose context ends
+// while it waits withdraws its claim and ends without running.
+func (s *System) serveJob(sc *Scheduler, t ticket, j *Job) {
+	if err := sc.wait(j.ctx, t); err != nil {
+		j.mu.Lock()
+		j.abandonLocked(err)
+		j.mu.Unlock()
 		return
 	}
-	s.jobs.mu.Lock()
-	defer s.jobs.mu.Unlock()
-	// Searched from the newest end: a releasing caller has usually just
-	// waited on the job.
-	for i := len(s.jobs.jobs) - 1; i >= 0; i-- {
-		if s.jobs.jobs[i] == j {
-			s.jobs.jobs = slices.Delete(s.jobs.jobs, i, i+1)
-			j.cancel()
-			return
-		}
-	}
-}
-
-// serveJob runs one dequeued job through the shared event-emitting
-// pipeline with the job's event log as the sink. Scheduler workers
-// call it on the job's own System.
-func (s *System) serveJob(j *Job) {
 	j.mu.Lock()
-	if j.state != JobQueued { // cancelled while waiting
+	if j.state != JobQueued { // cancelled as its slot was granted
 		j.mu.Unlock()
+		sc.release(t.c)
 		return
 	}
 	j.state = JobRunning
@@ -471,7 +471,13 @@ func (s *System) serveJob(j *Job) {
 	em := &emitter{query: j.query, observers: cfg.observers, sink: j.record}
 	rep, err := s.run(j.ctx, j.query, cfg, em)
 	em.emit(&Done{Report: rep, Err: err})
-	j.finish(rep, err)
+	j.mu.Lock()
+	j.settleLocked(rep, err)
+	j.mu.Unlock()
+	// The slot goes back between settling and closing done, so Drain
+	// sees a finished job and Wait a free slot and a served run.
+	sc.release(t.c)
+	close(j.done)
 	// Release the job's context now that the run is over: this
 	// unchains it from the Submit parent (no accumulation under a
 	// long-lived server ctx) and starts the grace clock for any
@@ -479,10 +485,29 @@ func (s *System) serveJob(j *Job) {
 	j.cancel()
 }
 
-// jobDoneEvent synthesizes the terminal event for jobs cancelled while
-// queued, so Events subscribers of a never-run job still observe Done.
-func (j *Job) jobDoneEvent() *Done {
-	ev := &Done{Err: context.Canceled}
-	ev.Query, ev.Time = j.query, time.Now()
-	return ev
+// admitted runs one blocking pipeline call (Ask, AskStream), first
+// taking a run slot on a System attached to a shared Scheduler. A
+// closed System, a full queue or ctx ending while it waits fails the
+// call before any stage runs, with that error as is and a nil Report.
+func (s *System) admitted(ctx context.Context, query string, cfg askConfig, em *emitter) (*Report, error) {
+	c := s.jobs.shared.Load()
+	if c == nil {
+		return s.run(ctx, query, cfg, em)
+	}
+	if s.jobs.closed.Load() {
+		return nil, ErrJobsClosed
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	sc := s.jobs.sched
+	t, err := sc.enqueue(c)
+	if err != nil {
+		return nil, err
+	}
+	if err := sc.wait(ctx, t); err != nil {
+		return nil, err
+	}
+	defer sc.release(c)
+	return s.run(ctx, query, cfg, em)
 }

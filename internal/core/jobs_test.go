@@ -381,36 +381,3 @@ func TestPruneJobsInPlace(t *testing.T) {
 		}
 	}
 }
-
-// TestReleaseDropsFinishedJob pins Release: a finished job leaves the
-// table and its context is released, while a job still running stays
-// tracked.
-func TestReleaseDropsFinishedJob(t *testing.T) {
-	gate := make(chan struct{})
-	sys, err := NewSystem(testEnv(t, false), gatedRegistry(t, gate))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sys.Close)
-	held, err := sys.Submit(ctx, queryCS1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	awaitState(t, held, JobRunning)
-	sys.Release(held)
-	if got := sys.Jobs(); len(got) != 1 || got[0] != held {
-		t.Fatalf("Release dropped a running job: %d tracked", len(got))
-	}
-	close(gate)
-	if _, err := held.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	sys.Release(held)
-	if got := sys.Jobs(); len(got) != 0 {
-		t.Fatalf("released job still tracked: %d jobs", len(got))
-	}
-	if held.ctx.Err() == nil {
-		t.Error("released job kept its context")
-	}
-	sys.Release(held) // releasing an untracked job is a no-op
-}

@@ -323,3 +323,62 @@ func TestCloseConcurrentWithSubmit(t *testing.T) {
 		}
 	}
 }
+
+func TestBlockingRunsTakeSharedSlots(t *testing.T) {
+	// One slot, depth one: a plug job holds the slot, an Ask waits for
+	// it inline, and the next Ask is shed before any stage runs.
+	gate := make(chan struct{})
+	sched := NewScheduler(1, 1)
+	sys := schedSystem(t, sched, "t", gate)
+
+	plug, err := sys.Submit(ctx, queryCS1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitState(t, plug, JobRunning)
+	waited := make(chan error, 1)
+	go func() {
+		_, err := sys.Ask(ctx, queryCS1)
+		waited <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for sched.Stats().Queued != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("Ask never queued for the held slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rep, err := sys.Ask(ctx, queryCS1)
+	var pe *PipelineError
+	if !errors.Is(err, ErrJobQueueFull) || errors.As(err, &pe) || rep != nil {
+		t.Fatalf("Ask past the depth: rep=%v err=%v, want a bare ErrJobQueueFull", rep, err)
+	}
+
+	close(gate)
+	if err := <-waited; err != nil {
+		t.Fatalf("queued Ask: %v", err)
+	}
+	if _, err := plug.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(sys.Jobs()); got != 1 {
+		t.Errorf("job table = %d, want 1 (the queued Ask created no Job)", got)
+	}
+	if st := sched.Stats(); st.Classes["t"].Served != 2 || st.Running != 0 || st.Queued != 0 {
+		t.Errorf("stats = %+v, want 2 served and nothing left", st)
+	}
+
+	// A closed System refuses its blocking runs too; AskStream carries
+	// the refusal in its Done event.
+	sys.Close()
+	if rep, err := sys.Ask(ctx, queryCS1); !errors.Is(err, ErrJobsClosed) || rep != nil {
+		t.Fatalf("Ask after Close: rep=%v err=%v", rep, err)
+	}
+	var last Event
+	for ev := range sys.AskStream(ctx, queryCS1) {
+		last = ev
+	}
+	if d, ok := last.(*Done); !ok || !errors.Is(d.Err, ErrJobsClosed) {
+		t.Fatalf("AskStream after Close ended with %#v", last)
+	}
+}

@@ -173,10 +173,10 @@ func (d *ResultDelta) empty() bool {
 		len(d.Added) == 0 && len(d.Removed) == 0 && len(d.Changed) == 0
 }
 
-// submitRetryDelay paces re-submission when a shared scheduler's queue
-// is full: subscription re-executions are background work and yield to
-// interactive jobs rather than failing the subscription.
-const submitRetryDelay = 20 * time.Millisecond
+// admitRetryDelay paces retries when a shared scheduler's queue is
+// full: subscription re-executions are background work and yield to
+// interactive runs rather than failing the subscription.
+const admitRetryDelay = 20 * time.Millisecond
 
 // Subscription is one standing query. All methods are safe for
 // concurrent use.
@@ -285,10 +285,8 @@ type subTable struct {
 // every re-execution; curation is always disabled for subscription
 // runs so a standing query cannot keep triggering its own promotions.
 //
-// When the System is attached to a shared Scheduler (SetScheduler),
-// re-executions are admission-controlled: each run is Submitted as a
-// job and competes under the System's scheduling class, retrying
-// quietly while the queue is full. Otherwise runs execute directly.
+// Every run is an Ask, so on a shared Scheduler it takes a run slot
+// (retrying quietly while the queue is full) and creates no Job.
 func (s *System) Subscribe(ctx context.Context, query string, opts ...AskOption) (*Subscription, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -296,10 +294,7 @@ func (s *System) Subscribe(ctx context.Context, query string, opts ...AskOption)
 	if strings.TrimSpace(query) == "" {
 		return nil, fmt.Errorf("core: empty subscription query")
 	}
-	s.jobs.mu.Lock()
-	closed := s.jobs.closed
-	s.jobs.mu.Unlock()
-	if closed {
+	if s.jobs.closed.Load() {
 		return nil, ErrJobsClosed
 	}
 
@@ -459,41 +454,25 @@ func (sub *Subscription) finish(reason string) {
 	sub.mu.Unlock()
 }
 
-// execute runs one (re-)execution of the standing query. Curation is
+// execute runs one (re-)execution of the standing query as an Ask,
+// backing off while a shared scheduler's queue is full. Curation is
 // forced off — a subscription that promoted composites on every re-run
-// would bump the registry generation and wake itself forever. On a
-// shared scheduler the run is admission-controlled via Submit,
-// backing off while the queue is full.
+// would bump the registry generation and wake itself forever.
 func (sub *Subscription) execute(ctx context.Context) (*Report, error) {
 	opts := make([]AskOption, 0, len(sub.opts)+1)
 	opts = append(opts, sub.opts...)
 	opts = append(opts, AskWithoutCuration())
-	if !sub.sys.sharedScheduler() {
-		return sub.sys.Ask(ctx, sub.query, opts...)
-	}
 	for {
-		j, err := sub.sys.Submit(ctx, sub.query, opts...)
-		if err == nil {
-			return j.Wait(ctx)
-		}
+		rep, err := sub.sys.Ask(ctx, sub.query, opts...)
 		if !errors.Is(err, ErrJobQueueFull) {
-			return nil, err
+			return rep, err
 		}
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-time.After(submitRetryDelay):
+		case <-time.After(admitRetryDelay):
 		}
 	}
-}
-
-// sharedScheduler reports whether the System is attached to a shared
-// Scheduler (serving tier): subscription runs must then pass admission
-// control instead of bypassing the queue.
-func (s *System) sharedScheduler() bool {
-	s.jobs.mu.Lock()
-	defer s.jobs.mu.Unlock()
-	return s.jobs.sched != nil && !s.jobs.private
 }
 
 // changeCause attributes a wake-up to what actually changed.

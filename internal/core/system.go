@@ -96,8 +96,8 @@ func AskNoCache() AskOption {
 // AskTimeout bounds the call's wall-clock time, on top of whatever
 // deadline the caller's context already carries. Non-positive
 // durations are explicitly ignored — the call runs unbounded — rather
-// than arming an already-expired deadline. For Submit the budget
-// covers pipeline execution, not time spent queued.
+// than arming an already-expired deadline. The budget covers pipeline
+// execution, not time spent waiting for a run slot.
 func AskTimeout(d time.Duration) AskOption {
 	return func(c *askConfig) {
 		if d > 0 {
@@ -150,8 +150,8 @@ type System struct {
 	curateMu sync.Mutex           // serializes curation passes
 	pass     registrycurator.Pass // guarded by curateMu
 
-	// jobs is the async serving subsystem (see jobs.go); its worker
-	// pool starts lazily on the first Submit.
+	// jobs is the serving subsystem (see jobs.go): the scheduler runs
+	// take slots from and the async job table.
 	jobs jobTable
 
 	// subs indexes live standing queries (see subscribe.go).
@@ -335,10 +335,15 @@ type Report struct {
 // backs AskStream and Submit — observers registered with AskObserver
 // (including expert review) fire inline; no channel or goroutine is
 // involved, so a plain Ask pays no event-delivery overhead.
+//
+// On a System attached to a shared Scheduler, Ask first takes a run
+// slot. A full queue, a closed System or ctx ending while it waits
+// fails it before any stage runs, with that error as is (not a
+// *PipelineError) and a nil Report.
 func (s *System) Ask(ctx context.Context, query string, opts ...AskOption) (*Report, error) {
 	cfg := newAskConfig(opts)
 	em := &emitter{query: query, observers: cfg.observers}
-	rep, err := s.run(ctx, query, cfg, em)
+	rep, err := s.admitted(ctx, query, cfg, em)
 	if em.active() {
 		em.emit(&Done{Report: rep, Err: err})
 	}
@@ -357,55 +362,29 @@ const streamBuffer = 16
 //
 // The consumer must drain the channel (or cancel ctx) — the pipeline
 // blocks once the consumer falls streamBuffer events behind, and after
-// ctx is cancelled undeliverable events are dropped so an abandoned
-// stream cannot wedge the run.
+// ctx is cancelled an event untaken within a grace period drops the
+// rest, so an abandoned stream cannot wedge the run. The run takes a
+// slot as Ask does; an admission failure arrives as Done's error.
 func (s *System) AskStream(ctx context.Context, query string, opts ...AskOption) <-chan Event {
 	cfg := newAskConfig(opts)
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ch := make(chan Event, streamBuffer)
+	abandoned := false // emit calls are serialized per run
 	em := &emitter{query: query, observers: cfg.observers, sink: func(ev Event) {
-		// Prefer delivery: buffer space or a ready receiver always
-		// wins, even when ctx is already cancelled — otherwise the
-		// closed Done channel could race a deliverable send and drop
-		// the terminal event on an actively-draining consumer.
-		select {
-		case ch <- ev:
-			return
-		default:
-		}
-		select {
-		case ch <- ev:
-		case <-ctx.Done():
-			if _, isDone := ev.(*Done); isDone {
-				// The terminal event carries the run's outcome: give a
-				// slow-but-live consumer a bounded grace to take it
-				// before the channel closes without one.
-				t := time.NewTimer(subscriberGrace)
-				defer t.Stop()
-				select {
-				case ch <- ev:
-				case <-t.C:
-				}
-				return
-			}
-			select {
-			case ch <- ev:
-			default: // abandoned stream: drop rather than wedge the run
-			}
-		}
+		abandoned = abandoned || !deliver(ch, ev, ctx.Done())
 	}}
 	go func() {
 		defer close(ch)
-		rep, err := s.run(ctx, query, cfg, em)
+		rep, err := s.admitted(ctx, query, cfg, em)
 		em.emit(&Done{Report: rep, Err: err})
 	}()
 	return ch
 }
 
 // run is the single pipeline implementation behind Ask, AskStream and
-// the job workers. It emits events through em as stages and steps
+// submitted jobs. It emits events through em as stages and steps
 // progress; an observer veto (non-nil error from emit) aborts the run
 // as a *PipelineError at the vetoed stage. The terminal Done event is
 // emitted by the caller, which knows how the run is being served.

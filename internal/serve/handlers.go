@@ -146,8 +146,8 @@ func decodeAsk(w http.ResponseWriter, r *http.Request) (askRequest, bool) {
 	return req, true
 }
 
-// submitError maps Submit failures to HTTP. Shed load answers 429 with
-// a Retry-After hint so well-behaved clients back off.
+// submitError maps admission failures to HTTP. Shed load answers 429
+// with a Retry-After hint so well-behaved clients back off.
 func submitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, core.ErrJobQueueFull):
@@ -169,10 +169,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleAsk serves a synchronous query. It still routes through Submit
-// so synchronous callers compete under the same admission control and
-// weighted-fair scheduling as streaming ones; the handler just waits.
-// Client disconnect cancels the job via the request context.
+// handleAsk serves a synchronous query inline: the tenant's Ask takes
+// a run slot first, under the same admission control as jobs, and
+// creates no Job. Client disconnect withdraws a waiting slot claim or
+// cancels the run through the request context.
 func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tenant(w, r)
 	if !ok {
@@ -182,21 +182,16 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	j, err := t.sys.Submit(r.Context(), req.Query, s.askOptions(req)...)
-	if err != nil {
-		submitError(w, err)
-		return
-	}
-	rep, err := j.Wait(r.Context())
+	rep, err := t.sys.Ask(r.Context(), req.Query, s.askOptions(req)...)
 	if r.Context().Err() != nil {
-		// Client gone; the job was cancelled through its context and
-		// nobody is left to read a response.
+		// Client gone: nobody is left to read a response.
 		return
 	}
-	// The response carries the whole outcome and no job id, so the
-	// answered job leaves the table now instead of holding its event
-	// log and report until pruned; it was listed while it ran.
-	t.sys.Release(j)
+	var pe *core.PipelineError
+	if err != nil && !errors.As(err, &pe) {
+		submitError(w, err) // refused before any stage ran
+		return
+	}
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{
 			Error:  err.Error(),

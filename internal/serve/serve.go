@@ -18,10 +18,11 @@
 //     per-tenant quotas (SetCacheLimits), so cached plans and step
 //     results cannot leak across tenants and one tenant cannot evict
 //     another's working set.
-//   - All tenants share one weighted-fair core.Scheduler: per-tenant
-//     weights, queue bounds and concurrency caps give admission
-//     control and fair dequeue instead of FIFO plus global shedding.
-//     Shed requests surface as HTTP 429 with Retry-After.
+//   - All tenants share one weighted-fair core.Scheduler granting run
+//     slots to jobs, synchronous asks and subscription runs alike (the
+//     latter two run inline, with no job): per-tenant weights, queue
+//     bounds and concurrency caps give admission control and fair
+//     grants. Shed requests surface as HTTP 429 with Retry-After.
 //
 // Endpoints (see handlers.go): POST /v1/ask (synchronous), POST
 // /v1/jobs + GET /v1/jobs/{id}/events (SSE streaming, replayable),
@@ -54,13 +55,13 @@ type TenantConfig struct {
 	// Token, when set, must be presented as "Authorization: Bearer
 	// <token>" on every request for this tenant.
 	Token string `json:"token,omitempty"`
-	// Weight is the tenant's share of worker bandwidth (default 1).
+	// Weight is the tenant's share of run slots (default 1).
 	Weight int `json:"weight,omitempty"`
 	// MaxRunning caps the tenant's concurrent pipeline runs (0 =
-	// bounded only by the worker pool).
+	// bounded only by the scheduler's slots).
 	MaxRunning int `json:"max_running,omitempty"`
-	// MaxQueued bounds the tenant's waiting jobs; beyond it requests
-	// are shed with 429 (0 = bounded only by the global queue depth).
+	// MaxQueued bounds the tenant's runs waiting for a slot; beyond it
+	// requests are shed with 429 (0 = only the global queue depth).
 	MaxQueued int `json:"max_queued,omitempty"`
 	// Cache quotas; zero means the library default for that bound.
 	PlanCacheEntries int   `json:"plan_cache_entries,omitempty"`
@@ -81,8 +82,8 @@ type Config struct {
 	// BaseRegistry is the catalog template tenant views are built from
 	// (Clone/Subset per tenant); nil means the builtin catalog.
 	BaseRegistry *registry.Registry
-	// Workers and QueueDepth size the shared scheduler (defaults:
-	// GOMAXPROCS workers, depth 128).
+	// Workers and QueueDepth size the shared scheduler: run slots and
+	// queue depth (defaults: GOMAXPROCS slots, depth 128).
 	Workers    int
 	QueueDepth int
 	// DefaultTimeout bounds each served call's pipeline time when the
@@ -264,12 +265,12 @@ func (s *Server) Scheduler() *core.Scheduler { return s.sched }
 // Tenant returns a tenant by name, or nil.
 func (s *Server) Tenant(name string) *Tenant { return s.tenants[name] }
 
-// Shutdown drains the serving tier: new submissions are refused (every
-// tenant System is closed), accepted jobs — queued or running — finish,
-// and the worker pool stops. If ctx expires first, the remaining
-// detached jobs are cancelled and ctx's error returned; synchronous
-// asks are tied to their request contexts and die with their
-// connections. Shutdown is idempotent.
+// Shutdown drains the serving tier: new runs are refused (every tenant
+// System is closed), accepted runs — queued or holding a slot, async
+// jobs and synchronous asks alike — finish, and the scheduler closes.
+// If ctx expires first, the remaining detached jobs are cancelled and
+// ctx's error returned; synchronous asks are tied to their request
+// contexts and die with their connections. Shutdown is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.closed.Swap(true) {
 		return nil
@@ -288,7 +289,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}()
 	if err != nil {
-		// Past the deadline: abort detached jobs so workers come home.
+		// Past the deadline: abort detached jobs so their slots free.
 		s.cancelJobs()
 		drainCtx, cancel := context.WithTimeout(context.Background(), subsecond(ctx))
 		_ = s.sched.Drain(drainCtx)

@@ -197,7 +197,7 @@ func TestHealthzAndAskRoundtrip(t *testing.T) {
 	if rep.Query != queryCS1 {
 		t.Errorf("query echo = %q", rep.Query)
 	}
-	// An answered synchronous ask is released from the job table.
+	// A synchronous ask runs inline and never enters the job table.
 	if n := len(srv.Tenant("default").System().Jobs()); n != 0 {
 		t.Errorf("job table holds %d jobs after a sync ask, want 0", n)
 	}

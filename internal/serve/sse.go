@@ -4,7 +4,7 @@
 // source of truth), then follows live and ends after the terminal
 // "done" frame. A client that disconnects mid-stream cancels the job
 // unless it subscribed with ?detach=1, mapping dropped consumers onto
-// job cancellation so abandoned work stops consuming workers.
+// job cancellation so abandoned work stops holding run slots.
 // streamSSE is the one SSE writer: subscription streams use it too,
 // with subscription close as the drop action.
 package serve
