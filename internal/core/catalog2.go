@@ -31,10 +31,11 @@ func registerBGP(r *registry.Registry) {
 			if err != nil {
 				return err
 			}
-			if e.Scenario == nil || len(e.Scenario.Stream) == 0 {
+			sc := e.scenario()
+			if sc == nil || len(sc.Stream) == 0 {
 				return fmt.Errorf("core: no BGP stream available in this environment")
 			}
-			c.Out["stream"] = e.Scenario.Stream
+			c.Out["stream"] = sc.Stream
 			return nil
 		},
 	})
@@ -128,10 +129,11 @@ func registerTraceroute(r *registry.Registry) {
 			if err != nil {
 				return err
 			}
-			if e.Scenario == nil || e.Scenario.Archive == nil {
+			sc := e.scenario()
+			if sc == nil || sc.Archive == nil {
 				return fmt.Errorf("core: no traceroute archive available in this environment")
 			}
-			arch := e.Scenario.Archive
+			arch := sc.Archive
 			// Undeclared worker-side input: the fleet's scatter spec
 			// restricts a shard to the probes it owns. The filter
 			// preserves the archive's measurement order so the gather can
@@ -638,8 +640,8 @@ func BuildTimeline(e *Environment, rep *xaminer.ImpactReport, bundle CascadeBund
 		_ = id
 	}
 	base := e.Now
-	if e.Scenario != nil {
-		base = e.Scenario.FailureAt
+	if sc := e.scenario(); sc != nil {
+		base = sc.FailureAt
 	}
 	// Cable layer: failure rounds at synthetic offsets.
 	for round, ids := range bundle.Cable.Rounds {

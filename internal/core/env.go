@@ -190,7 +190,7 @@ func (e *Environment) Clone() *Environment {
 		Catalog:  e.Catalog,
 		CrossMap: e.CrossMap,
 		Analyzer: e.Analyzer,
-		Scenario: e.Scenario,
+		Scenario: e.scenario(),
 		Now:      e.Now,
 	}
 	c.ensureFingerprint()
@@ -294,11 +294,13 @@ func (e *Environment) InjectCableFailureScenario(sc ScenarioConfig) error {
 	if err != nil {
 		return fmt.Errorf("core: stream: %w", err)
 	}
+	e.scenMu.Lock()
 	e.Scenario = &Scenario{
 		Start: start, End: e.Now, FailureAt: failAt,
 		TrueCable: cable, FailedLink: links,
 		Archive: arch, Stream: stream,
 	}
+	e.scenMu.Unlock()
 	// The environment's observable data changed; retire any memoized
 	// step results computed over the scenario-less state.
 	e.bumpFingerprint()

@@ -251,11 +251,15 @@ func installScatterSpecs(f *fleet.Fleet) {
 	f.SetScatter("traceroute.archive_window", fleet.Scatter{
 		Split: func(p *netsim.Partition, env any, in map[string]any) (map[int]map[string]any, bool) {
 			e, ok := env.(*Environment)
-			if !ok || e.Scenario == nil || e.Scenario.Archive == nil {
+			if !ok {
+				return nil, false
+			}
+			sc := e.scenario()
+			if sc == nil || sc.Archive == nil {
 				return nil, false
 			}
 			byShard := map[int][]string{}
-			for _, probe := range e.Scenario.Archive.Probes() {
+			for _, probe := range sc.Archive.Probes() {
 				s := p.ShardOfCountry(probeSourceCountry(probe))
 				if s < 0 {
 					// A probe no shard owns: the whole step must run on
@@ -274,10 +278,14 @@ func installScatterSpecs(f *fleet.Fleet) {
 		},
 		Merge: func(p *netsim.Partition, env any, orig map[string]any, parts map[int]map[string]any) (map[string]any, error) {
 			e, ok := env.(*Environment)
-			if !ok || e.Scenario == nil || e.Scenario.Archive == nil {
+			if !ok {
 				return nil, fmt.Errorf("environment lost its archive between split and merge")
 			}
-			full := e.Scenario.Archive.Measurements
+			sc := e.scenario()
+			if sc == nil || sc.Archive == nil {
+				return nil, fmt.Errorf("environment lost its archive between split and merge")
+			}
+			full := sc.Archive.Measurements
 			archOf := make(map[int][]traceroute.Measurement, len(parts))
 			for shard, out := range parts {
 				arch, ok := out["archive"].(*traceroute.Archive)

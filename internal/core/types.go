@@ -135,8 +135,14 @@ type Environment struct {
 	Catalog  *nautilus.Catalog
 	CrossMap *nautilus.CrossLayerMap
 	Analyzer *xaminer.Analyzer
+	// Scenario is the injected scenario (nil before the first
+	// injection). InjectCableFailureScenario replaces it under scenMu
+	// while asks may be running, so code that can run concurrently
+	// with an injection — capabilities, planning — reads it through
+	// scenario().
 	Scenario *Scenario
 	Now      time.Time
+	scenMu   sync.RWMutex
 
 	// fpID/fpEpoch back Fingerprint(): a process-unique instance
 	// identity plus a mutation epoch bumped by scenario injection.
@@ -155,6 +161,14 @@ type Environment struct {
 	// them. See Watch.
 	watchMu  sync.Mutex
 	watchers []chan<- struct{}
+}
+
+// scenario returns the current scenario, ordered against a concurrent
+// injection. A Scenario is never mutated once injected.
+func (e *Environment) scenario() *Scenario {
+	e.scenMu.RLock()
+	defer e.scenMu.RUnlock()
+	return e.Scenario
 }
 
 // envOf extracts the Environment from a registry call context.
@@ -183,10 +197,10 @@ func (e *Environment) Data() DataCatalog {
 		d.HasCrossLayerMap = true
 		d.MapCoverage = e.CrossMap.Coverage(e.World)
 	}
-	if e.Scenario != nil {
-		d.HasTraceArchive = e.Scenario.Archive != nil
-		d.HasBGPStream = len(e.Scenario.Stream) > 0
-		d.WindowDays = int(e.Scenario.End.Sub(e.Scenario.Start).Hours() / 24)
+	if sc := e.scenario(); sc != nil {
+		d.HasTraceArchive = sc.Archive != nil
+		d.HasBGPStream = len(sc.Stream) > 0
+		d.WindowDays = int(sc.End.Sub(sc.Start).Hours() / 24)
 	}
 	return d
 }

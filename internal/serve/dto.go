@@ -3,6 +3,11 @@
 // request's "full" flag; the summary keeps routine responses small and
 // stable while still naming every executed capability — which is also
 // what the isolation tests inspect to prove no cross-tenant leakage.
+//
+// The summary's field order is part of the contract: query comes
+// first and elapsed_us last, so a warm /v1/ask that replays a cached
+// plan whole can splice those two around memoized bytes (answers.go)
+// and still send exactly what summarizeReport and writeJSON would.
 package serve
 
 import (
@@ -14,6 +19,7 @@ import (
 
 // reportJSON summarizes one pipeline run.
 type reportJSON struct {
+	// Query must stay the first field (see the file comment).
 	Query string `json:"query"`
 	// Intent is QueryMind's reading of the query.
 	Intent string `json:"intent,omitempty"`
@@ -30,7 +36,8 @@ type reportJSON struct {
 	Outputs map[string]json.RawMessage `json:"outputs,omitempty"`
 	// Promotions names composites the curator promoted after this run.
 	Promotions []string `json:"promotions,omitempty"`
-	ElapsedUS  int64    `json:"elapsed_us"`
+	// ElapsedUS must stay the last field.
+	ElapsedUS int64 `json:"elapsed_us"`
 }
 
 type stepJSON struct {

@@ -4,12 +4,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"arachnet/internal/core"
@@ -53,12 +55,46 @@ type errorResponse struct {
 	Report *reportJSON `json:"report,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+// bufPool recycles response buffers. Buffers that grew past
+// maxPooledBuf (a huge full report) are left to the collector.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBuf = 1 << 20
+
+func getBuf() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
+
+func putBuf(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBuf {
+		b.Reset()
+		bufPool.Put(b)
+	}
+}
+
+// encodeJSON appends v as json.Encoder writes it with HTML escaping
+// off — the encoding and a newline — or, on error, nothing.
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	return enc.Encode(v)
+}
+
+// writeBody sends a JSON response body in one Write with its
+// Content-Length set, so the server never chunks it.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
+// writeJSON encodes v into a pooled buffer and sends it with writeBody.
+// A value that fails to encode sends an empty body with the status.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := getBuf()
+	_ = encodeJSON(buf, v)
+	writeBody(w, status, buf.Bytes())
+	putBuf(buf)
 }
 
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -172,7 +208,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleAsk serves a synchronous query inline: the tenant's Ask takes
 // a run slot first, under the same admission control as jobs, and
 // creates no Job. Client disconnect withdraws a waiting slot claim or
-// cancels the run through the request context.
+// cancels the run through the request context. A successful summary
+// is written by writeAnswer, through the answer memo.
 func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tenant(w, r)
 	if !ok {
@@ -203,7 +240,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, rep)
 		return
 	}
-	writeJSON(w, http.StatusOK, summarizeReport(rep))
+	s.writeAnswer(w, rep)
 }
 
 // handleSubmit enqueues an asynchronous job. The job is parented on

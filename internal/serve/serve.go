@@ -139,6 +139,10 @@ type Server struct {
 	anyAuth bool    // any tenant requires a token
 	mux     *http.ServeMux
 	closed  atomic.Bool
+	// answers memoizes warm /v1/ask summaries per cached plan. It is a
+	// separate allocation because its cleanups hold it: they must not
+	// keep the Server, and through it the plans, alive.
+	answers *answerMemo
 
 	// jobCtx parents detached jobs (POST /v1/jobs), which must outlive
 	// their submitting request; cancelJobs aborts them if a drain
@@ -167,6 +171,7 @@ func NewServer(cfg Config) (*Server, error) {
 		tenants: make(map[string]*Tenant, len(cfg.Tenants)),
 		byToken: make(map[string]*Tenant),
 		mux:     http.NewServeMux(),
+		answers: new(answerMemo),
 	}
 	s.jobCtx, s.cancelJobs = context.WithCancel(context.Background())
 	for _, tc := range cfg.Tenants {

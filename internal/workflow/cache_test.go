@@ -287,3 +287,66 @@ func TestCachedStepsNotifyObservers(t *testing.T) {
 		t.Errorf("observer saw %d cached finishes, want 2", cached)
 	}
 }
+
+// TestStepStatCarriesFingerprint pins StepStat.Fingerprint: the step's
+// cache key on fresh and cached runs alike, "" for impure steps (and
+// their dependents) and on an engine without a cache.
+func TestStepStatCarriesFingerprint(t *testing.T) {
+	calls := map[string]*atomic.Int64{}
+	reg := memoRegistry(t, calls)
+	cache := newMapCache()
+	eng := NewEngine(reg, nil, WithCache(cache, "envA"))
+	fresh, err := eng.Run(context.Background(), memoWorkflow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := eng.Run(context.Background(), memoWorkflow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for i, st := range fresh.Steps {
+		ct := cached.Steps[i]
+		if st.Cached || !ct.Cached {
+			t.Fatalf("step %s: cached %v then %v, want false then true", st.ID, st.Cached, ct.Cached)
+		}
+		if st.Fingerprint == "" || st.Fingerprint != ct.Fingerprint {
+			t.Errorf("step %s: fingerprint %x fresh, %x cached; want equal and non-empty", st.ID, st.Fingerprint, ct.Fingerprint)
+		}
+		if _, ok := cache.m[st.Fingerprint]; !ok {
+			t.Errorf("step %s: fingerprint is not its cache key", st.ID)
+		}
+		if seen[st.Fingerprint] {
+			t.Errorf("step %s: fingerprint shared with another step", st.ID)
+		}
+		seen[st.Fingerprint] = true
+	}
+
+	impure := &Workflow{
+		Name: "impure-chain",
+		Steps: []Step{
+			{ID: "i", Capability: "memo.impure"},
+			{ID: "d", Capability: "memo.double", Inputs: map[string]Binding{"n": Ref("i", "n")}},
+		},
+		Outputs: map[string]string{"out": "d.n"},
+	}
+	res, err := eng.Run(context.Background(), impure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range res.Steps {
+		if st.Fingerprint != "" {
+			t.Errorf("impure chain step %s: fingerprint %x, want empty", st.ID, st.Fingerprint)
+		}
+	}
+
+	plain, err := NewEngine(reg, nil).Run(context.Background(), memoWorkflow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range plain.Steps {
+		if st.Fingerprint != "" {
+			t.Errorf("step %s without a cache: fingerprint %x, want empty", st.ID, st.Fingerprint)
+		}
+	}
+}

@@ -427,7 +427,7 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, parallelism 
 				settle(stepDone{
 					idx:  i,
 					capb: capb,
-					stat: StepStat{ID: s.ID, Capability: s.Capability, Cached: true},
+					stat: StepStat{ID: s.ID, Capability: s.Capability, Cached: true, Fingerprint: fps[i]},
 					out:  out,
 				})
 				return
@@ -457,7 +457,7 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, parallelism 
 					done <- stepDone{
 						idx:  i,
 						capb: capb,
-						stat: StepStat{ID: s.ID, Capability: s.Capability, Duration: time.Since(start), Err: err, Remote: true},
+						stat: StepStat{ID: s.ID, Capability: s.Capability, Duration: time.Since(start), Err: err, Remote: true, Fingerprint: fp},
 						out:  out,
 					}
 					return
@@ -468,7 +468,7 @@ func (e *Engine) RunCompiled(ctx context.Context, cp *CompiledPlan, parallelism 
 			done <- stepDone{
 				idx:  i,
 				capb: capb,
-				stat: StepStat{ID: s.ID, Capability: s.Capability, Duration: time.Since(start), Err: err},
+				stat: StepStat{ID: s.ID, Capability: s.Capability, Duration: time.Since(start), Err: err, Fingerprint: fp},
 				out:  call.Out,
 			}
 		}()

@@ -269,6 +269,15 @@ type StepStat struct {
 	// Remote marks a step executed by a Dispatcher (worker fleet)
 	// rather than inline by the engine.
 	Remote bool `json:"remote,omitempty"`
+	// Fingerprint is the step's cache key (the raw digest described in
+	// the package documentation), on cached and fresh steps alike. It
+	// is "" when the engine has neither a cache nor a dispatcher, and
+	// for impure steps. Two stats with equal non-empty fingerprints
+	// denote the same computation, so a caller can tell whether a run
+	// replayed the same results as an earlier one without comparing
+	// values. It is a copy of the plan's memoized key: no hashing, no
+	// allocation.
+	Fingerprint string `json:"-"`
 }
 
 // CheckResult records one evaluated quality check.
